@@ -1,12 +1,40 @@
 //! Micro-benchmarks of the partial-isomorphism-type machinery: building
 //! the expression universe, closing types, evaluating conditions and the
 //! implication test.
+//!
+//! The `state_type_*` benches time the calls the search makes on every
+//! successor: re-closing a populated state type (`PitBuilder::from_pit`)
+//! and extending it by a one-edge condition (`eval_extensions`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::{BTreeSet, HashSet};
-use verifas_core::{eval::compile_condition, eval::eval_extensions, ExprUniverse, Pit, PitBuilder};
+use verifas_core::{
+    eval::compile_condition, eval::eval_extensions, ExprUniverse, Pit, PitBuilder, Psi,
+    StoredTypeInterner, SymbolicTask,
+};
 use verifas_model::{Condition, DataValue, Term, VarId, VarRef};
 use verifas_workloads::order_fulfillment;
+
+/// The largest state type within three service applications of the
+/// initial types of `order_fulfillment`'s root task.
+fn populated_state_type(task: &SymbolicTask) -> Pit {
+    let mut interner = StoredTypeInterner::new();
+    let mut frontier: Vec<Psi> = task.initial_pits().into_iter().map(Psi::with_pit).collect();
+    let mut largest = Pit::empty();
+    for _ in 0..3 {
+        let mut next = Vec::new();
+        for psi in &frontier {
+            for (_, succ) in task.successors(psi, &mut interner) {
+                if succ.pit.edge_count() > largest.edge_count() {
+                    largest = succ.pit.clone();
+                }
+                next.push(succ);
+            }
+        }
+        frontier = next;
+    }
+    largest
+}
 
 fn bench_pit_ops(c: &mut Criterion) {
     let spec = order_fulfillment();
@@ -44,6 +72,21 @@ fn bench_pit_ops(c: &mut Criterion) {
     builder.assert_eq(status, init);
     let strong = builder.finish().unwrap();
     c.bench_function("pit_implies", |b| b.iter(|| strong.implies(&Pit::empty())));
+
+    let task = SymbolicTask::new(&spec, spec.root(), &[], &[], true);
+    let state = populated_state_type(&task);
+    assert!(state.edge_count() > 0);
+    c.bench_function("state_type_from_pit", |b| {
+        b.iter(|| PitBuilder::from_pit(&task.universe, &state).finish())
+    });
+    // Consistent with the state type, so every iteration runs the full
+    // re-close, assert and finish.
+    let instock = Condition::eq(Term::var(VarId::new(3)), Term::str("No"));
+    let one_edge = compile_condition(&instock, &task.universe);
+    assert!(!eval_extensions(&state, &one_edge, &task.universe, &none).is_empty());
+    c.bench_function("state_type_eval_one_edge", |b| {
+        b.iter(|| eval_extensions(&state, &one_edge, &task.universe, &none))
+    });
 }
 
 criterion_group!(benches, bench_pit_ops);

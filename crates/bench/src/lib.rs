@@ -2,8 +2,7 @@
 //!
 //! Shared machinery for the binaries that regenerate every table and
 //! figure of the paper's evaluation (Section 4).  Each binary prints the
-//! same rows/columns as the corresponding table; `EXPERIMENTS.md` records
-//! paper-reported versus measured values.
+//! same rows/columns as the corresponding table.
 //!
 //! All binaries accept `--quick` to run on smaller workload sets with a
 //! shorter per-run budget (useful in CI), and `--seed <n>` to change the

@@ -40,7 +40,9 @@ const FLAG_ACTIVE: u8 = 1;
 const FLAG_EXPANDED: u8 = 1 << 1;
 const FLAG_CLOSED: u8 = 1 << 2;
 
-fn hash64<T: Hash + ?Sized>(value: &T) -> u64 {
+/// A deterministic 64-bit hash (fixed-key SipHash) for hash-bucket
+/// deduplication.
+pub(crate) fn hash64<T: Hash + ?Sized>(value: &T) -> u64 {
     let mut hasher = DefaultHasher::new();
     value.hash(&mut hasher);
     hasher.finish()

@@ -15,7 +15,8 @@
 //! (`CoverageKind::Equality`), over the specification with artifact
 //! relations stripped.  This reproduces the mechanism responsible for the
 //! performance gap reported in Table 2 — state-space blowup — rather than
-//! Spin's absolute running times (see `DESIGN.md`, substitution table).
+//! Spin's absolute running times (see `docs/ARCHITECTURE.md`,
+//! "Substitutions for the paper's artefacts").
 
 use crate::coverage::CoverageKind;
 use crate::product::ProductSystem;

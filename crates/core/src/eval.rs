@@ -174,12 +174,18 @@ pub fn eval_extensions(
 ) -> Vec<Pit> {
     let mut out = Vec::new();
     for conjunct in &compiled.conjuncts {
+        // `pit` may be `without_edges` output, which is not closed, so it
+        // is re-closed from its edges rather than taken as is.
         let mut builder = PitBuilder::from_pit(universe, pit);
         for edge in conjunct {
             builder.assert_edge(*edge);
         }
         if let Some(extended) = builder.finish() {
-            out.push(extended.without_edges(static_removed));
+            out.push(if static_removed.is_empty() {
+                extended
+            } else {
+                extended.without_edges(static_removed)
+            });
         }
     }
     out.sort();

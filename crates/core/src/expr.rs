@@ -16,6 +16,7 @@
 //! Expressions are interned to dense ids so that partial isomorphism types
 //! can be stored as sorted edge lists over `u32` pairs.
 
+use crate::pit::BuilderTemplate;
 use std::collections::{BTreeSet, HashMap};
 use verifas_model::{
     ArtRelId, AttrId, AttrKind, DataValue, HasSpec, RelId, TaskId, VarRef, VarType,
@@ -79,6 +80,8 @@ pub struct ExprUniverse {
     const_ids: HashMap<DataValue, ExprId>,
     var_ids: HashMap<VarRef, ExprId>,
     slot_ids: HashMap<(ArtRelId, u32), ExprId>,
+    /// Initial state of a [`crate::PitBuilder`] over this universe.
+    builder_template: BuilderTemplate,
 }
 
 impl ExprUniverse {
@@ -99,6 +102,7 @@ impl ExprUniverse {
             const_ids: HashMap::new(),
             var_ids: HashMap::new(),
             slot_ids: HashMap::new(),
+            builder_template: BuilderTemplate::default(),
         };
         // null first.
         universe.null_id = universe.push(Expr {
@@ -166,6 +170,7 @@ impl ExprUniverse {
                 universe.expand_navigation(spec, id, rel);
             }
         }
+        universe.builder_template = BuilderTemplate::of(&universe);
         universe
     }
 
@@ -215,6 +220,12 @@ impl ExprUniverse {
     /// The expression with the given id.
     pub fn expr(&self, id: ExprId) -> &Expr {
         &self.exprs[id as usize]
+    }
+
+    /// The dense starting point of every [`crate::PitBuilder`] over this
+    /// universe.
+    pub(crate) fn builder_template(&self) -> &BuilderTemplate {
+        &self.builder_template
     }
 
     /// The id of the `null` expression.

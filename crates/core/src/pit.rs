@@ -15,12 +15,12 @@
 //! canonical hashable form.  [`PitBuilder`] is the working representation: a
 //! union-find plus disequality constraints with congruence closure and
 //! consistency checking (conflicting constants, incompatible ID types,
-//! `≠` inside a class).
+//! `≠` inside a class), kept in dense per-class arrays so that building a
+//! type never hashes.
 
 use crate::expr::{ExprId, ExprSort, ExprUniverse};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use verifas_model::AttrId;
 
 /// An edge of a partial isomorphism type: an (in)equality between two
 /// expressions, encoded compactly for fast set operations.
@@ -176,17 +176,78 @@ impl Pit {
     }
 }
 
+/// Sentinel for "no constant member" / "no navigation child" in the dense
+/// per-class arrays of [`PitBuilder`].
+const NONE: u32 = u32::MAX;
+
+/// The starting point of every [`PitBuilder`] over one universe: each
+/// expression its own class, with its own sort, constant and navigation
+/// children, laid out densely.  Computed once when the universe is built
+/// (see [`ExprUniverse::build`]) and copied by [`PitBuilder::new`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BuilderTemplate {
+    /// Slots per class in `children`: one per attribute of the widest
+    /// relation any expression navigates.
+    width: usize,
+    /// Per-expression "strong" sort; `Null` stands for "none yet".
+    sort: Vec<ExprSort>,
+    /// Per-expression constant member (the expression itself for `null`
+    /// and data constants, [`NONE`] otherwise).
+    konst: Vec<ExprId>,
+    /// Row-major `expression × attribute` navigation children ([`NONE`]
+    /// where the expression has no such attribute).
+    children: Vec<ExprId>,
+}
+
+impl BuilderTemplate {
+    /// The template of `universe`.
+    pub(crate) fn of(universe: &ExprUniverse) -> Self {
+        let width = universe
+            .iter()
+            .flat_map(|(_, e)| e.children.iter().map(|(attr, _)| attr.index() + 1))
+            .max()
+            .unwrap_or(0);
+        let mut template = BuilderTemplate {
+            width,
+            sort: Vec::with_capacity(universe.len()),
+            konst: Vec::with_capacity(universe.len()),
+            children: vec![NONE; universe.len() * width],
+        };
+        for (id, expr) in universe.iter() {
+            template.sort.push(expr.sort);
+            template.konst.push(match expr.sort {
+                ExprSort::Null | ExprSort::DataConst => id,
+                _ => NONE,
+            });
+            for (attr, child) in &expr.children {
+                template.children[id as usize * width + attr.index()] = *child;
+            }
+        }
+        template
+    }
+}
+
 /// Working representation of a partial isomorphism type under
 /// construction: a union-find with congruence closure plus disequalities.
+///
+/// Every per-class property is a dense array indexed by the class
+/// representative, so building a type allocates a handful of flat vectors
+/// and never hashes.
 pub struct PitBuilder<'u> {
     universe: &'u ExprUniverse,
     parent: Vec<u32>,
-    /// Per-representative navigation children (attr → child representative).
-    class_children: HashMap<(u32, AttrId), ExprId>,
-    /// Per-representative "strong" sort (ignores `null`).
-    class_sort: HashMap<u32, ExprSort>,
-    /// Per-representative constant member (a `DataConst` or `Null` expr).
-    class_const: HashMap<u32, ExprId>,
+    /// Slots per representative in `children`.
+    width: usize,
+    /// Per-representative "strong" sort (`Null` when the class has only
+    /// `null`-sorted members).
+    sort: Vec<ExprSort>,
+    /// Per-representative constant member (a `DataConst` or `Null` expr),
+    /// [`NONE`] when the class has none.
+    konst: Vec<ExprId>,
+    /// Per-representative navigation children, `width` slots per class
+    /// (attribute → child expression, [`NONE`] when absent).  Rows of
+    /// non-representatives are dead.
+    children: Vec<ExprId>,
     /// Asserted disequalities (by original expression ids).
     neqs: Vec<(ExprId, ExprId)>,
     inconsistent: bool,
@@ -195,33 +256,14 @@ pub struct PitBuilder<'u> {
 impl<'u> PitBuilder<'u> {
     /// A builder with no constraints.
     pub fn new(universe: &'u ExprUniverse) -> Self {
-        let n = universe.len();
-        let mut class_children = HashMap::new();
-        let mut class_sort = HashMap::new();
-        let mut class_const = HashMap::new();
-        for (id, expr) in universe.iter() {
-            for (attr, child) in &expr.children {
-                class_children.insert((id, *attr), *child);
-            }
-            match expr.sort {
-                ExprSort::Null => {
-                    class_const.insert(id, id);
-                }
-                ExprSort::DataConst => {
-                    class_sort.insert(id, ExprSort::DataConst);
-                    class_const.insert(id, id);
-                }
-                s => {
-                    class_sort.insert(id, s);
-                }
-            }
-        }
+        let template = universe.builder_template();
         PitBuilder {
             universe,
-            parent: (0..n as u32).collect(),
-            class_children,
-            class_sort,
-            class_const,
+            parent: (0..universe.len() as u32).collect(),
+            width: template.width,
+            sort: template.sort.clone(),
+            konst: template.konst.clone(),
+            children: template.children.clone(),
             neqs: Vec::new(),
             inconsistent: false,
         }
@@ -249,33 +291,25 @@ impl<'u> PitBuilder<'u> {
         root
     }
 
-    /// Merge the sorts of two classes; marks the builder inconsistent on a
-    /// type clash.
+    /// Merge the sorts and constants of two classes; marks the builder
+    /// inconsistent on a type clash or two distinct constants.
     fn merge_sorts(&mut self, keep: u32, drop: u32) {
-        let sort_drop = self.class_sort.remove(&drop);
-        match (self.class_sort.get(&keep).copied(), sort_drop) {
-            (None, Some(s)) => {
-                self.class_sort.insert(keep, s);
-            }
-            (Some(a), Some(b)) if !sorts_compatible(a, b) => {
-                self.inconsistent = true;
-            }
-            (Some(a), Some(b)) => {
-                self.class_sort.insert(keep, merge_sort(a, b));
-            }
-            _ => {}
+        let (keep, drop) = (keep as usize, drop as usize);
+        let (a, b) = (self.sort[keep], self.sort[drop]);
+        if sorts_compatible(a, b) {
+            self.sort[keep] = merge_sort(a, b);
+        } else {
+            self.inconsistent = true;
         }
-        let const_drop = self.class_const.remove(&drop);
-        match (self.class_const.get(&keep).copied(), const_drop) {
-            (None, Some(c)) => {
-                self.class_const.insert(keep, c);
-            }
-            (Some(a), Some(b)) if a != b => {
+        let c = self.konst[drop];
+        if c != NONE {
+            if self.konst[keep] == NONE {
+                self.konst[keep] = c;
+            } else if self.konst[keep] != c {
                 // Two distinct constant expressions (distinct constants, or
                 // null vs a constant) in the same class.
                 self.inconsistent = true;
             }
-            _ => {}
         }
     }
 
@@ -294,28 +328,23 @@ impl<'u> PitBuilder<'u> {
         if self.inconsistent {
             return;
         }
-        // Congruence: merge navigation children attribute-wise.
-        let mut drop_children: Vec<(AttrId, ExprId)> = self
-            .class_children
-            .iter()
-            .filter(|((rep, _), _)| *rep == rb)
-            .map(|((_, attr), child)| (*attr, *child))
-            .collect();
-        drop_children.sort_unstable();
-        for (attr, child_b) in drop_children {
-            self.class_children.remove(&(rb, attr));
+        // Congruence: merge navigation children attribute-wise.  `rb` is
+        // no longer a representative, so its row is never written again.
+        let row = rb as usize * self.width;
+        for attr in 0..self.width {
+            let child_b = self.children[row + attr];
+            if child_b == NONE {
+                continue;
+            }
             // The recursive merge below can union `ra`'s class under a
             // different root, so the surviving representative must be
             // re-resolved on every iteration.  Keying off the stale `ra`
             // would orphan child entries (and miss existing ones), leaving
-            // the congruence closure incomplete in a way that depends on
-            // the map's iteration order.
-            let keep = self.find(ra);
-            match self.class_children.get(&(keep, attr)).copied() {
-                Some(child_a) => self.assert_eq(child_a, child_b),
-                None => {
-                    self.class_children.insert((keep, attr), child_b);
-                }
+            // the congruence closure incomplete.
+            let slot = self.find(ra) as usize * self.width + attr;
+            match self.children[slot] {
+                NONE => self.children[slot] = child_b,
+                child_a => self.assert_eq(child_a, child_b),
             }
             if self.inconsistent {
                 return;
@@ -350,49 +379,91 @@ impl<'u> PitBuilder<'u> {
 
     /// Finish: `None` if the accumulated constraints are inconsistent,
     /// otherwise the canonically closed type.
+    ///
+    /// The result depends only on the final partition and the asserted
+    /// disequalities, never on which member a class keeps as its
+    /// representative.
     pub fn finish(mut self) -> Option<Pit> {
         if self.inconsistent {
             return None;
         }
+        let n = self.universe.len();
+        // Flatten the forest: afterwards `parent[x]` is x's root.
+        for x in 0..n as u32 {
+            let root = self.find(x);
+            self.parent[x as usize] = root;
+        }
+        let root = &self.parent;
         // Disequalities must separate distinct classes.
-        for i in 0..self.neqs.len() {
-            let (a, b) = self.neqs[i];
-            if self.find(a) == self.find(b) {
-                return None;
+        if self
+            .neqs
+            .iter()
+            .any(|&(a, b)| root[a as usize] == root[b as usize])
+        {
+            return None;
+        }
+        // Bucket the expressions by root (a counting sort, so every class
+        // lists its members ascending).  After the placement pass
+        // `end[r]` is one past the last member of root r's class and
+        // `end[r - 1]` (or 0) its first.
+        let mut end = vec![0u32; n];
+        for &r in root {
+            end[r as usize] += 1;
+        }
+        let mut total = 0u32;
+        let mut eq_edges = 0usize;
+        for count in end.iter_mut() {
+            let k = *count as usize;
+            eq_edges += k * k.saturating_sub(1) / 2;
+            total += *count;
+            *count = total - *count;
+        }
+        let mut members = vec![0u32; n];
+        for (x, &r) in root.iter().enumerate() {
+            members[end[r as usize] as usize] = x as u32;
+            end[r as usize] += 1;
+        }
+        let class = |r: u32| {
+            let r = r as usize;
+            let begin = if r == 0 { 0 } else { end[r - 1] as usize };
+            &members[begin..end[r] as usize]
+        };
+        // Each asserted disequality separates two whole classes; count
+        // every class pair once.
+        let mut neq_pairs: Vec<(u32, u32)> = self
+            .neqs
+            .iter()
+            .map(|&(a, b)| {
+                let (ra, rb) = (root[a as usize], root[b as usize]);
+                (ra.min(rb), ra.max(rb))
+            })
+            .collect();
+        neq_pairs.sort_unstable();
+        neq_pairs.dedup();
+        let neq_edges: usize = neq_pairs
+            .iter()
+            .map(|&(ra, rb)| class(ra).len() * class(rb).len())
+            .sum();
+        let mut edges: Vec<Edge> = Vec::with_capacity(eq_edges + neq_edges);
+        for r in 0..n as u32 {
+            if root[r as usize] != r {
+                continue;
             }
-        }
-        let n = self.universe.len() as u32;
-        // Group expressions by representative.
-        let mut classes: HashMap<u32, Vec<ExprId>> = HashMap::new();
-        for x in 0..n {
-            classes.entry(self.find(x)).or_default().push(x);
-        }
-        let mut edges: Vec<Edge> = Vec::new();
-        for members in classes.values() {
-            for i in 0..members.len() {
-                for j in (i + 1)..members.len() {
-                    edges.push(Edge::eq(members[i], members[j]));
+            let members = class(r);
+            for (i, &a) in members.iter().enumerate() {
+                for &b in &members[i + 1..] {
+                    edges.push(Edge::eq(a, b));
                 }
             }
         }
-        // Propagate each asserted disequality to the full classes.
-        let mut neq_class_pairs: HashSet<(u32, u32)> = HashSet::new();
-        for i in 0..self.neqs.len() {
-            let (a, b) = self.neqs[i];
-            let (ra, rb) = (self.find(a), self.find(b));
-            let key = if ra < rb { (ra, rb) } else { (rb, ra) };
-            neq_class_pairs.insert(key);
-        }
-        for (ra, rb) in neq_class_pairs {
-            let (ca, cb) = (&classes[&ra], &classes[&rb]);
-            for &a in ca {
-                for &b in cb {
+        for &(ra, rb) in &neq_pairs {
+            for &a in class(ra) {
+                for &b in class(rb) {
                     edges.push(Edge::neq(a, b));
                 }
             }
         }
         edges.sort_unstable();
-        edges.dedup();
         Some(Pit { edges })
     }
 
@@ -433,8 +504,8 @@ mod tests {
     use std::collections::BTreeSet;
     use verifas_model::schema::attr::data;
     use verifas_model::{
-        Condition, DataValue, DatabaseSchema, HasSpec, SpecBuilder, TaskBuilder, Term, VarId,
-        VarRef,
+        AttrId, Condition, DataValue, DatabaseSchema, HasSpec, SpecBuilder, TaskBuilder, Term,
+        VarId, VarRef,
     };
 
     /// Schema R(ID, A) with variables x, y, z of type R.ID — the setting of

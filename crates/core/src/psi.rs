@@ -19,6 +19,7 @@
 //! final numbering is independent of how work was scheduled across
 //! workers.
 
+use crate::arena::hash64;
 use crate::pit::Pit;
 use std::collections::HashMap;
 use std::fmt;
@@ -47,12 +48,42 @@ pub trait InternTypes: TypeTable {
 /// Karp–Miller acceleration).
 pub const OMEGA: u32 = u32::MAX;
 
+/// An append-only table of stored types with hash buckets over it, probed
+/// by borrow: a lookup hashes `(rel, &pit)` and compares in place, so only
+/// a type that is actually new is ever moved into the table.
+#[derive(Debug, Default, Clone)]
+struct TypeSlots {
+    types: Vec<(ArtRelId, Pit)>,
+    buckets: HashMap<u64, Vec<u32>>,
+}
+
+impl TypeSlots {
+    fn hash(rel: ArtRelId, pit: &Pit) -> u64 {
+        hash64(&(rel, pit))
+    }
+
+    /// The slot of an already-stored type with the given hash.
+    fn find(&self, hash: u64, rel: ArtRelId, pit: &Pit) -> Option<u32> {
+        self.buckets.get(&hash)?.iter().copied().find(|&slot| {
+            let (r, p) = &self.types[slot as usize];
+            *r == rel && p == pit
+        })
+    }
+
+    /// Store a type known to be absent, returning its slot.
+    fn push(&mut self, hash: u64, rel: ArtRelId, pit: Pit) -> u32 {
+        let slot = self.types.len() as u32;
+        self.types.push((rel, pit));
+        self.buckets.entry(hash).or_default().push(slot);
+        slot
+    }
+}
+
 /// Interner of stored-tuple partial isomorphism types, shared by a whole
 /// search so that counter dimensions are stable integers.
 #[derive(Debug, Default, Clone)]
 pub struct StoredTypeInterner {
-    types: Vec<(ArtRelId, Pit)>,
-    map: HashMap<(ArtRelId, Pit), StoredTypeId>,
+    slots: TypeSlots,
 }
 
 impl StoredTypeInterner {
@@ -63,33 +94,31 @@ impl StoredTypeInterner {
 
     /// Intern a stored type, returning its stable id.
     pub fn intern(&mut self, rel: ArtRelId, pit: Pit) -> StoredTypeId {
-        if let Some(&id) = self.map.get(&(rel, pit.clone())) {
-            return id;
+        let hash = TypeSlots::hash(rel, &pit);
+        match self.slots.find(hash, rel, &pit) {
+            Some(id) => id,
+            None => self.slots.push(hash, rel, pit),
         }
-        let id = self.types.len() as StoredTypeId;
-        self.types.push((rel, pit.clone()));
-        self.map.insert((rel, pit), id);
-        id
     }
 
     /// The artifact relation and type of an interned id.
     pub fn get(&self, id: StoredTypeId) -> &(ArtRelId, Pit) {
-        &self.types[id as usize]
+        &self.slots.types[id as usize]
     }
 
     /// The id of an already-interned type, without interning it.
     pub fn lookup(&self, rel: ArtRelId, pit: &Pit) -> Option<StoredTypeId> {
-        self.map.get(&(rel, pit.clone())).copied()
+        self.slots.find(TypeSlots::hash(rel, pit), rel, pit)
     }
 
     /// Number of interned types.
     pub fn len(&self) -> usize {
-        self.types.len()
+        self.slots.types.len()
     }
 
     /// `true` iff nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.types.is_empty()
+        self.slots.types.is_empty()
     }
 }
 
@@ -139,8 +168,8 @@ pub fn provisional_parts(id: StoredTypeId) -> (usize, usize) {
 pub struct WorkerInterner<'a> {
     base: &'a StoredTypeInterner,
     worker: StoredTypeId,
-    map: HashMap<(ArtRelId, Pit), StoredTypeId>,
-    types: Vec<(ArtRelId, Pit)>,
+    /// The scratch types, slot = local part of the provisional id.
+    slots: TypeSlots,
     node_new: Vec<StoredTypeId>,
 }
 
@@ -154,8 +183,7 @@ impl<'a> WorkerInterner<'a> {
         WorkerInterner {
             base,
             worker: worker as StoredTypeId,
-            map: HashMap::new(),
-            types: Vec::new(),
+            slots: TypeSlots::default(),
             node_new: Vec::new(),
         }
     }
@@ -184,7 +212,7 @@ impl<'a> WorkerInterner<'a> {
     /// The scratch type table, indexed by the local part of the
     /// provisional ids this worker handed out.
     pub fn into_types(self) -> Vec<(ArtRelId, Pit)> {
-        self.types
+        self.slots.types
     }
 }
 
@@ -193,7 +221,7 @@ impl TypeTable for WorkerInterner<'_> {
         if is_provisional(id) {
             let (worker, local) = provisional_parts(id);
             debug_assert_eq!(worker, self.worker as usize);
-            &self.types[local]
+            &self.slots.types[local]
         } else {
             self.base.get(id)
         }
@@ -202,20 +230,21 @@ impl TypeTable for WorkerInterner<'_> {
 
 impl InternTypes for WorkerInterner<'_> {
     fn intern(&mut self, rel: ArtRelId, pit: Pit) -> StoredTypeId {
-        if let Some(id) = self.base.lookup(rel, &pit) {
+        let hash = TypeSlots::hash(rel, &pit);
+        if let Some(id) = self.base.slots.find(hash, rel, &pit) {
             return id;
         }
-        let id = match self.map.get(&(rel, pit.clone())) {
-            Some(&id) => id,
+        let local = match self.slots.find(hash, rel, &pit) {
+            Some(local) => local,
             None => {
-                let local = self.types.len() as StoredTypeId;
-                assert!(local <= LOCAL_MASK, "worker scratch interner overflow");
-                let id = PROVISIONAL_BIT | (self.worker << WORKER_SHIFT) | local;
-                self.types.push((rel, pit.clone()));
-                self.map.insert((rel, pit), id);
-                id
+                assert!(
+                    self.slots.types.len() as StoredTypeId <= LOCAL_MASK,
+                    "worker scratch interner overflow"
+                );
+                self.slots.push(hash, rel, pit)
             }
         };
+        let id = PROVISIONAL_BIT | (self.worker << WORKER_SHIFT) | local;
         if !self.node_new.contains(&id) {
             self.node_new.push(id);
         }

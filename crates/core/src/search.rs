@@ -77,7 +77,7 @@ use crate::psi::{
     is_provisional, provisional_parts, CounterVec, StoredTypeId, StoredTypeInterner, TypeTable,
     WorkerInterner,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -218,6 +218,92 @@ struct SuccessorPlan {
 struct NodePlan {
     new_types: Vec<StoredTypeId>,
     succs: Vec<SuccessorPlan>,
+}
+
+/// A set of arena ids kept as a stamp per id: an id is a member iff its
+/// stamp equals the current epoch, so emptying the set is one increment.
+struct EpochMarks {
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl EpochMarks {
+    fn new() -> Self {
+        EpochMarks {
+            stamps: Vec::new(),
+            epoch: 1,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps left from 2^32 clears ago would alias the new epoch.
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    fn insert(&mut self, id: u32) {
+        let i = id as usize;
+        if i >= self.stamps.len() {
+            self.stamps.resize(i + 1, 0);
+        }
+        self.stamps[i] = self.epoch;
+    }
+
+    fn contains(&self, id: u32) -> bool {
+        self.stamps.get(id as usize) == Some(&self.epoch)
+    }
+}
+
+/// Marks a provisional type not yet published this round.
+const UNPUBLISHED: StoredTypeId = StoredTypeId::MAX;
+
+/// Scratch state of the apply phase, allocated once per search.
+struct ApplyScratch {
+    /// Published id of each provisional type, per worker, indexed by the
+    /// provisional local id ([`UNPUBLISHED`] until its first publication
+    /// this round).
+    remap: Vec<Vec<StoredTypeId>>,
+    /// Nodes deactivated so far this round.
+    deactivated: EpochMarks,
+    /// The node whose plan is being applied and its ancestors.
+    ancestors: EpochMarks,
+}
+
+impl ApplyScratch {
+    fn new() -> Self {
+        ApplyScratch {
+            remap: Vec::new(),
+            deactivated: EpochMarks::new(),
+            ancestors: EpochMarks::new(),
+        }
+    }
+
+    /// Reset for a round whose plans drew on these worker scratch tables.
+    fn begin_round(&mut self, scratch: &[Vec<(ArtRelId, Pit)>]) {
+        self.deactivated.clear();
+        self.remap.resize_with(scratch.len(), Vec::new);
+        for (remap, types) in self.remap.iter_mut().zip(scratch) {
+            remap.clear();
+            remap.resize(types.len(), UNPUBLISHED);
+        }
+    }
+
+    /// `counters` with every provisional type id replaced by its
+    /// published id.
+    fn publish(&self, counters: &CounterVec) -> CounterVec {
+        counters.map_ids(|id| {
+            if !is_provisional(id) {
+                return id;
+            }
+            let (worker, local) = provisional_parts(id);
+            let published = self.remap[worker][local];
+            debug_assert_ne!(published, UNPUBLISHED, "type used before it was published");
+            published
+        })
+    }
 }
 
 /// One entry of the compact successor log: the raw (pre-acceleration)
@@ -424,6 +510,7 @@ impl<'a> KarpMillerSearch<'a> {
         let mut expanded_since_event = 0usize;
         control.emit(ProgressEvent::PhaseStarted { phase });
         let mut frontier: Vec<u32> = Vec::new();
+        let mut apply = ApplyScratch::new();
         for state in self.product.initial_states() {
             let id = self.add_node(&state, None, self.product.task.opening_service());
             frontier.push(id);
@@ -455,7 +542,8 @@ impl<'a> KarpMillerSearch<'a> {
             // wall-clock budget, so a large frontier cannot overshoot
             // `limits.max_millis` by a whole round of planning.
             let time_budget = start + Duration::from_millis(self.limits.max_millis);
-            let (mut plans, scratch) = self.plan_round(&frontier, workers, time_budget, control);
+            let (mut plans, mut scratch) =
+                self.plan_round(&frontier, workers, time_budget, control);
             // A panicked plan worker leaves its chunk's plans incomplete;
             // applying the rest would diverge from a sequential run.  Drop
             // the whole round and stop at this boundary — the tree holds
@@ -467,8 +555,7 @@ impl<'a> KarpMillerSearch<'a> {
             }
             // Apply phase: replay the plans in deterministic order.
             let round_base = self.arena.len() as u32;
-            let mut remap: HashMap<StoredTypeId, StoredTypeId> = HashMap::new();
-            let mut deactivated_this_round: HashSet<u32> = HashSet::new();
+            apply.begin_round(&scratch);
             let mut next: Vec<u32> = Vec::new();
             for (pos, &id) in frontier.iter().enumerate() {
                 if !self.arena.is_active(id) {
@@ -499,15 +586,9 @@ impl<'a> KarpMillerSearch<'a> {
                     "a plan can only be missing after cancellation or the time budget, \
                      which the checks above turn into LimitReached",
                 );
-                if let Some(violation) = self.apply_plan(
-                    id,
-                    plan,
-                    &scratch,
-                    &mut remap,
-                    round_base,
-                    &mut deactivated_this_round,
-                    &mut next,
-                ) {
+                if let Some(violation) =
+                    self.apply_plan(id, plan, &mut scratch, &mut apply, round_base, &mut next)
+                {
                     break 'search SearchOutcome::FiniteViolation(violation as usize);
                 }
             }
@@ -780,39 +861,39 @@ impl<'a> KarpMillerSearch<'a> {
 
     /// Replay one node's plan against the live tree.  Returns the id of a
     /// finite-violation node when one is reached.
-    #[allow(clippy::too_many_arguments)]
     fn apply_plan(
         &mut self,
         id: u32,
         plan: NodePlan,
-        scratch: &[Vec<(ArtRelId, Pit)>],
-        remap: &mut HashMap<StoredTypeId, StoredTypeId>,
+        scratch: &mut [Vec<(ArtRelId, Pit)>],
+        apply: &mut ApplyScratch,
         round_base: u32,
-        deactivated_this_round: &mut HashSet<u32>,
         next: &mut Vec<u32>,
     ) -> Option<u32> {
         self.arena.mark_expanded(id);
         // Publish the node's new stored types in first-intern order; this
         // is what makes the final type numbering (and hence successor
         // enumeration in later rounds) independent of worker scheduling.
+        // A type an earlier node of this round already published keeps
+        // its id, so only its first publication reads (and takes) the
+        // scratch copy.
         for &pid in &plan.new_types {
             let (worker, local) = provisional_parts(pid);
-            let (rel, pit) = &scratch[worker][local];
-            let gid = self.interner.intern(*rel, pit.clone());
-            remap.insert(pid, gid);
+            if apply.remap[worker][local] == UNPUBLISHED {
+                let (rel, pit) = &mut scratch[worker][local];
+                apply.remap[worker][local] = self.interner.intern(*rel, std::mem::take(pit));
+            }
         }
-        let publish = |counters: &CounterVec| {
-            counters.map_ids(|t| if is_provisional(t) { remap[&t] } else { t })
-        };
         // Did anything this round touch the ancestors the speculation was
         // computed against?
-        let mut ancestors: HashSet<u32> = HashSet::new();
+        apply.ancestors.clear();
+        let mut speculation_valid = true;
         let mut a = Some(id);
         while let Some(x) = a {
-            ancestors.insert(x);
+            apply.ancestors.insert(x);
+            speculation_valid &= !apply.deactivated.contains(x);
             a = self.arena.parent(x);
         }
-        let speculation_valid = deactivated_this_round.is_disjoint(&ancestors);
         for succ in plan.succs {
             let mut state = succ.state;
             if self.record_successors {
@@ -821,7 +902,7 @@ impl<'a> KarpMillerSearch<'a> {
                 // the product defines, exactly as a re-enumeration would
                 // produce them.  The entry is published compactly — type
                 // and counters interned into the shared arena.
-                let raw = publish(&succ.raw_counters);
+                let raw = apply.publish(&succ.raw_counters);
                 let entry = LoggedSuccessor {
                     parent: id,
                     service: succ.service,
@@ -835,12 +916,12 @@ impl<'a> KarpMillerSearch<'a> {
             }
             let accelerations;
             if speculation_valid {
-                state.psi.counters = publish(&state.psi.counters);
+                state.psi.counters = apply.publish(&state.psi.counters);
                 accelerations = succ.accelerations;
             } else {
                 // An ancestor was deactivated after the plan was made:
                 // replay the acceleration against the live tree.
-                state.psi.counters = publish(&succ.raw_counters);
+                state.psi.counters = apply.publish(&succ.raw_counters);
                 let mut count = 0usize;
                 let mut ancestor = Some(id);
                 while let Some(a) = ancestor {
@@ -871,7 +952,7 @@ impl<'a> KarpMillerSearch<'a> {
                 self.covered_by_active(&state)
             } else {
                 match succ.covered_by {
-                    Some(j) if !deactivated_this_round.contains(&j) => true,
+                    Some(j) if !apply.deactivated.contains(j) => true,
                     Some(_) => self.covered_by_active(&state),
                     None => self.covered_by_added(&state, round_base),
                 }
@@ -888,17 +969,17 @@ impl<'a> KarpMillerSearch<'a> {
                 succ.prunes
                     .iter()
                     .copied()
-                    .filter(|j| self.arena.is_active(*j) && !ancestors.contains(j))
+                    .filter(|&j| self.arena.is_active(j) && !apply.ancestors.contains(j))
                     .collect()
             } else {
-                self.live_prunes(&state, &ancestors, 0)
+                self.live_prunes(&state, &apply.ancestors, 0)
             };
             if speculation_valid {
                 // States added this round were invisible to the plan.
-                to_prune.extend(self.live_prunes(&state, &ancestors, round_base));
+                to_prune.extend(self.live_prunes(&state, &apply.ancestors, round_base));
             }
             for j in to_prune {
-                self.deactivate_subtree(j, &ancestors, deactivated_this_round);
+                self.deactivate_subtree(j, &apply.ancestors, &mut apply.deactivated);
             }
             let new_id = self.add_node(&state, Some(id), succ.service);
             next.push(new_id);
@@ -975,10 +1056,10 @@ impl<'a> KarpMillerSearch<'a> {
 
     /// Active, non-ancestor nodes with id ≥ `from` covered by `state` on
     /// the live tree.
-    fn live_prunes(&self, state: &ProductState, ancestors: &HashSet<u32>, from: u32) -> Vec<u32> {
+    fn live_prunes(&self, state: &ProductState, ancestors: &EpochMarks, from: u32) -> Vec<u32> {
         let view = state.view();
         let accepts = |j: u32| {
-            !ancestors.contains(&j)
+            !ancestors.contains(j)
                 && covers(self.coverage, self.arena.view(j), view, &self.interner)
         };
         if self.use_index {
@@ -1005,12 +1086,12 @@ impl<'a> KarpMillerSearch<'a> {
     fn deactivate_subtree(
         &mut self,
         root: u32,
-        protected: &HashSet<u32>,
-        deactivated: &mut HashSet<u32>,
+        protected: &EpochMarks,
+        deactivated: &mut EpochMarks,
     ) {
         let mut stack = vec![root];
         while let Some(j) = stack.pop() {
-            if protected.contains(&j) || !self.arena.is_active(j) {
+            if protected.contains(j) || !self.arena.is_active(j) {
                 continue;
             }
             self.arena.set_active(j, false);

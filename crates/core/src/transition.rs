@@ -324,8 +324,8 @@ impl SymbolicTask {
                                     // Retrieval: pick any stored type of this
                                     // relation with a positive count.
                                     for (tid, _count) in psi.counters.iter() {
-                                        let (rel, stored) = interner.get(tid).clone();
-                                        if rel != u.rel {
+                                        let (rel, stored) = interner.get(tid);
+                                        if *rel != u.rel {
                                             continue;
                                         }
                                         let Some(retrieved) =

@@ -10,7 +10,8 @@
 //! artifact relations used as work pools, foreign-key navigation in
 //! conditions).  [`real_workflows`] expands the eight base processes into a
 //! set of 32 specifications through systematic variants, mirroring the
-//! size of the paper's real set (see `DESIGN.md`, substitution table).
+//! size of the paper's real set (see `docs/ARCHITECTURE.md`,
+//! "Substitutions for the paper's artefacts").
 
 use verifas_model::schema::attr::{data, fk};
 use verifas_model::{

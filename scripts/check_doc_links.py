@@ -9,7 +9,10 @@ Checks, over README.md and every docs/*.md file:
 2. every anchor (`#section`, alone or after a relative path) resolves to
    a heading of the target file, using GitHub's slug rules;
 3. docs/ARCHITECTURE.md mentions every workspace crate by package name,
-   so a crate added without a place in the architecture map fails CI.
+   so a crate added without a place in the architecture map fails CI;
+4. every backticked `*.md` file named in a rustdoc comment (`//!` or
+   `///`) of a Rust source under crates/ or src/ exists, as a path from
+   the repository root or from the citing file's directory.
 
 Exit status 0 iff all checks pass; failures are listed one per line.
 """
@@ -22,6 +25,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 HEADING = re.compile(r"^#{1,6}\s+(.*)$")
+RUSTDOC = re.compile(r"^\s*//[/!]")
+CITED_MD = re.compile(r"`([^`\s]+\.md)`")
 FENCE = re.compile(r"^\s*(```|~~~)")
 
 
@@ -86,6 +91,25 @@ def check_links(doc: Path, failures: list):
                     )
 
 
+def check_rustdoc_citations(failures: list) -> int:
+    """Flag rustdoc comments citing markdown files that do not exist."""
+    sources = sorted((ROOT / "crates").rglob("*.rs")) + sorted((ROOT / "src").rglob("*.rs"))
+    for source in sources:
+        if "target" in source.relative_to(ROOT).parts:
+            continue
+        lines = source.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, start=1):
+            if not RUSTDOC.match(line):
+                continue
+            for cited in CITED_MD.findall(line):
+                if not ((ROOT / cited).is_file() or (source.parent / cited).is_file()):
+                    failures.append(
+                        f"{source.relative_to(ROOT)}:{number}: doc comment cites "
+                        f"missing file {cited!r}"
+                    )
+    return len(sources)
+
+
 def workspace_crates() -> list:
     """Package names of every workspace member (and the root package)."""
     manifest = (ROOT / "Cargo.toml").read_text(encoding="utf-8")
@@ -117,11 +141,13 @@ def main() -> int:
                     f"docs/ARCHITECTURE.md does not mention workspace crate {crate!r}"
                 )
 
+    sources = check_rustdoc_citations(failures)
+
     for failure in failures:
         print(failure)
     print(
-        f"{len(docs)} documents checked: "
-        + ("FAILED" if failures else "all links, anchors and crates resolve")
+        f"{len(docs)} documents and {sources} Rust sources checked: "
+        + ("FAILED" if failures else "all links, anchors, crates and citations resolve")
     )
     return 1 if failures else 0
 
