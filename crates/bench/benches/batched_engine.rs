@@ -5,22 +5,21 @@
 //! * `setup/*` — what the session model amortizes: constructing the
 //!   spec-side preprocessing (expression universe, compiled symbolic task,
 //!   static-analysis graph) for twelve properties, once through twelve
-//!   independent `Verifier::new` calls (the pre-0.2 workflow) and once
-//!   through a single `Engine` warming its shared cache.  The engine wins
-//!   on any machine: it builds once and reuses eleven times.
+//!   independent engines (one `Engine::load_with_options` per property)
+//!   and once through a single `Engine` warming its shared cache.  The
+//!   shared engine wins on any machine: it builds once and reuses eleven
+//!   times.
 //!
 //! * `multi_property/*` — end-to-end verification of six benchmark
-//!   properties of the order-fulfillment workflow: independent one-shot
-//!   runs versus `Engine::check_all`, which additionally fans the searches
+//!   properties of the order-fulfillment workflow: one engine per property
+//!   versus `Engine::check_all`, which additionally fans the searches
 //!   out across `available_parallelism` threads.  The search phase
 //!   dominates end-to-end time, so on a single-core machine the two arms
 //!   converge; with N cores `check_all` approaches the slowest single
 //!   property instead of the sum.
 
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, Criterion};
-use verifas_core::{Engine, SearchLimits, Verifier, VerifierOptions};
+use verifas_core::{Engine, SearchLimits, VerifierOptions};
 use verifas_workloads::{generate, generate_properties, order_fulfillment, SyntheticParams};
 
 fn options() -> VerifierOptions {
@@ -40,10 +39,11 @@ fn bench_setup_amortization(c: &mut Criterion) {
     let properties = generate_properties(&spec, 2017);
     let mut group = c.benchmark_group("setup");
     group.sample_size(20);
-    group.bench_function("independent_verifier_new", |b| {
+    group.bench_function("independent_engines", |b| {
         b.iter(|| {
             for property in &properties {
-                let _ = Verifier::new(&spec, property, options()).unwrap();
+                let engine = Engine::load_with_options(spec.clone(), options()).unwrap();
+                engine.warm(property).unwrap();
             }
         })
     });
@@ -69,7 +69,8 @@ fn bench_batched_vs_independent(c: &mut Criterion) {
     group.bench_function("independent_runs", |b| {
         b.iter(|| {
             for property in &properties {
-                let _ = Verifier::new(&spec, property, options()).unwrap().verify();
+                let engine = Engine::load_with_options(spec.clone(), options()).unwrap();
+                let _ = engine.check(property).unwrap();
             }
         })
     });

@@ -17,7 +17,7 @@
 //!    informationally instead).
 //!
 //! A fourth gate covers the repeated-reachability post-pass: the
-//! cycle-heavy `cycle_grid` scenario runs to exhaustion and the indexed,
+//! cycle-heavy `cycle_grid` scenario runs to exhaustion and the filtered,
 //! single-pass SCC cycle detection is timed against the retained
 //! O(active²) reference implementation (`--min-repeated-speedup`), with
 //! the parallel edge construction additionally gated on multi-core hosts
@@ -43,13 +43,14 @@
 //! replayed through the carried memo) is measured alongside, and both
 //! warm verdicts must be bit-identical to the cold one.
 //!
-//! A seventh gate covers the arena state layout: the million-state
-//! open/close lattice is searched single-threaded under the arena-backed
-//! grouped layout and under the retained pre-overhaul reference layout
-//! (boxed nodes, full linear coverage scans), and the states/sec ratio is
-//! gated with `--min-layout-speedup`.  The two layouts are additionally
-//! cross-checked bit for bit at the reference arm's state budget, and the
-//! arena arm's peak memory estimate is recorded alongside.
+//! A seventh gate covers the state layout's candidate discovery: the
+//! million-state open/close lattice is searched single-threaded with
+//! data-structure support (discrete-key candidate groups) and without it
+//! (full linear coverage scans, the no-DSS ablation), and the states/sec
+//! ratio is gated with `--min-layout-speedup`.  The two arms are
+//! additionally cross-checked bit for bit at the reference arm's state
+//! budget, and the grouped arm's peak memory estimate is recorded
+//! alongside.
 //!
 //! Usage:
 //!
@@ -306,7 +307,7 @@ struct Row {
 
 /// The repeated-reachability post-pass measurement: a cycle-heavy
 /// scenario run to exhaustion, timed through the retained O(active²)
-/// reference implementation, the indexed single-pass SCC implementation
+/// reference implementation, the filtered single-pass SCC implementation
 /// (sequential) and the same with parallel edge construction.  Post-pass
 /// times are tracked in microseconds — at quick-mode scale the new pass
 /// is sub-millisecond and coarser units would quantize the gate ratios
@@ -406,14 +407,7 @@ fn measure_repeated_scenario(
     };
     let reference = time_repeated(
         samples,
-        || {
-            find_infinite_violation_reference(
-                &product,
-                CoverageKind::StrictSubsumption,
-                true,
-                limits,
-            )
-        },
+        || find_infinite_violation_reference(&product, CoverageKind::StrictSubsumption, limits),
         reference_postpass,
     );
     let seq = time_repeated(
@@ -487,8 +481,8 @@ fn measure_repeated_scenario(
     }
 }
 
-/// The cycle-heavy scenario set: a wide 2D grid where the signature index
-/// filters candidates to almost exactly the true edges (the
+/// The cycle-heavy scenario set: a wide 2D grid where the signature filter
+/// narrows candidates to almost exactly the true edges (the
 /// speedup-vs-reference showcase), and a high-dimensional torus whose
 /// short value cycles defeat posting-list filtering — the pass falls back
 /// to discrete-group scans there, which is the edge-construction shape
@@ -701,8 +695,8 @@ fn measure_incremental(args: &Args, failures: &mut Vec<String>) -> IncrementalRo
 
 /// The state-layout measurement: the open/close lattice searched raw
 /// (no engine pipeline, no repeated-reachability pass) and
-/// single-threaded, once under the arena-backed grouped layout and once
-/// under the retained pre-overhaul reference layout.
+/// single-threaded, once with grouped candidates (DSS on) and once with
+/// the reference linear scans (DSS off).
 struct LayoutRow {
     name: String,
     /// States created per arm — the arms run under *different* state
@@ -731,7 +725,7 @@ struct LayoutRow {
 #[allow(clippy::type_complexity)]
 fn time_layout_arm(
     product: &ProductSystem,
-    reference_layout: bool,
+    data_structure_support: bool,
     max_states: usize,
     samples: usize,
 ) -> (usize, f64, usize, (usize, usize, Vec<usize>)) {
@@ -743,8 +737,12 @@ fn time_layout_arm(
     };
     let mut best: Option<(usize, f64, usize, (usize, usize, Vec<usize>))> = None;
     for sample in 0..=samples {
-        let mut search = KarpMillerSearch::new(product, CoverageKind::Subsumption, false, limits);
-        search.reference_layout = reference_layout;
+        let mut search = KarpMillerSearch::new(
+            product,
+            CoverageKind::Subsumption,
+            data_structure_support,
+            limits,
+        );
         search.threads = 1;
         let start = Instant::now();
         search.run();
@@ -781,13 +779,13 @@ fn measure_layout(args: &Args, failures: &mut Vec<String>) -> LayoutRow {
     let new_cap = if args.quick { 30_000 } else { 120_000 };
     let reference_cap = if args.quick { 4_000 } else { 8_000 };
     let (new_states, new_millis, peak_bytes_estimate, _) =
-        time_layout_arm(&product, false, new_cap, samples);
+        time_layout_arm(&product, true, new_cap, samples);
     let (reference_states, reference_millis, _, reference_id) =
-        time_layout_arm(&product, true, reference_cap, samples);
+        time_layout_arm(&product, false, reference_cap, samples);
     // Cross-check: at the *same* budget the two layouts must materialise
     // bit-identical trees (the grouped scan visits exactly the states the
     // full scan does, in the same order).
-    let (_, _, _, new_id) = time_layout_arm(&product, false, reference_cap, 1);
+    let (_, _, _, new_id) = time_layout_arm(&product, true, reference_cap, 1);
     if new_id != reference_id {
         failures.push(format!(
             "{name}: arena and reference layouts diverged at {reference_cap} states \
@@ -1313,7 +1311,7 @@ fn main() {
     }
     // Both repeated gates apply to the best scenario (mirroring the main
     // search's best-speedup gate): each scenario showcases one side of the
-    // optimisation — the indexed grid the single-pass win, the scan-heavy
+    // optimisation — the filtered grid the single-pass win, the scan-heavy
     // torus the parallel edge construction.
     let best_vs_reference = repeated
         .iter()

@@ -11,20 +11,20 @@
 //!
 //! Spin itself is not redistributable inside this repository, so the
 //! baseline is implemented as the same search engine with every
-//! optimisation disabled and with *exact-duplicate* pruning only
-//! (`CoverageKind::Equality`), over the specification with artifact
-//! relations stripped.  This reproduces the mechanism responsible for the
-//! performance gap reported in Table 2 — state-space blowup — rather than
-//! Spin's absolute running times (see `docs/ARCHITECTURE.md`,
-//! "Substitutions for the paper's artefacts").
+//! state-space optimisation disabled — no static analysis and
+//! *exact-duplicate* pruning only (`CoverageKind::Equality`) — over the
+//! specification with artifact relations stripped.  This reproduces the
+//! mechanism responsible for the performance gap reported in Table 2 —
+//! state-space blowup — rather than Spin's absolute running times (see
+//! `docs/ARCHITECTURE.md`, "Substitutions for the paper's artefacts").
 
 use crate::coverage::CoverageKind;
+use crate::observer::SearchControl;
 use crate::product::ProductSystem;
-use crate::repeated::find_infinite_violation;
-use crate::search::{KarpMillerSearch, SearchLimits, SearchOutcome};
-use crate::verifier::{Counterexample, VerificationOutcome, VerificationResult};
+use crate::search::SearchLimits;
+use crate::verifier::{run_phases, VerificationResult, VerifierOptions};
 use verifas_ltl::LtlFoProperty;
-use verifas_model::{HasSpec, ModelError, ServiceRef};
+use verifas_model::{HasSpec, ModelError};
 
 /// The baseline ("Spin-Opt"-like) verifier.
 pub struct BaselineVerifier {
@@ -45,107 +45,22 @@ impl BaselineVerifier {
         Ok(BaselineVerifier { product, limits })
     }
 
-    /// Run the baseline verification.
+    /// Run the baseline verification: both phases, sequential, with
+    /// exact-duplicate pruning.  Coverage candidates stay grouped by
+    /// discrete key — a linear scan would only make the already large
+    /// state space quadratic to search, not change what it explores.
     pub fn verify(&self) -> VerificationResult {
-        let mut search =
-            KarpMillerSearch::new(&self.product, CoverageKind::Equality, false, self.limits);
-        let outcome = search.run();
-        let stats = search.stats;
-        let failure = std::mem::take(&mut search.failure);
-        let describe = |services: &[ServiceRef]| {
-            services
-                .iter()
-                .map(|s| self.product.task.spec.service_name(*s))
-                .collect::<Vec<_>>()
-                .join(" → ")
+        let options = VerifierOptions {
+            limits: self.limits,
+            ..VerifierOptions::default()
         };
-        match outcome {
-            SearchOutcome::FiniteViolation(node) => {
-                let services: Vec<ServiceRef> =
-                    search.trace(node).into_iter().map(|(s, _)| s).collect();
-                VerificationResult {
-                    outcome: VerificationOutcome::Violated,
-                    counterexample: Some(Counterexample {
-                        description: describe(&services),
-                        services,
-                        finite: true,
-                    }),
-                    stats,
-                    repeated_stats: None,
-                    repeated_cycle: None,
-                    worker_stats: Vec::new(),
-                    failure,
-                }
-            }
-            SearchOutcome::LimitReached => VerificationResult {
-                outcome: VerificationOutcome::Inconclusive,
-                counterexample: None,
-                stats,
-                repeated_stats: None,
-                repeated_cycle: None,
-                worker_stats: Vec::new(),
-                failure,
-            },
-            SearchOutcome::Exhausted => {
-                let repeated = find_infinite_violation(
-                    &self.product,
-                    CoverageKind::Equality,
-                    false,
-                    self.limits,
-                );
-                let repeated_stats = Some(repeated.stats);
-                let repeated_cycle = repeated.cycle;
-                let failure = failure.or(repeated.failure);
-                if let Some(finite) = repeated.finite_violation {
-                    return VerificationResult {
-                        outcome: VerificationOutcome::Violated,
-                        counterexample: Some(Counterexample {
-                            description: describe(&finite),
-                            services: finite,
-                            finite: true,
-                        }),
-                        stats,
-                        repeated_stats,
-                        repeated_cycle,
-                        worker_stats: Vec::new(),
-                        failure,
-                    };
-                }
-                match repeated.violation {
-                    Some(v) => VerificationResult {
-                        outcome: VerificationOutcome::Violated,
-                        counterexample: Some(Counterexample {
-                            description: describe(&v.prefix),
-                            services: v.prefix,
-                            finite: false,
-                        }),
-                        stats,
-                        repeated_stats,
-                        repeated_cycle,
-                        worker_stats: Vec::new(),
-                        failure: failure.clone(),
-                    },
-                    None if repeated.limit_reached => VerificationResult {
-                        outcome: VerificationOutcome::Inconclusive,
-                        counterexample: None,
-                        stats,
-                        repeated_stats,
-                        repeated_cycle,
-                        worker_stats: Vec::new(),
-                        failure: failure.clone(),
-                    },
-                    None => VerificationResult {
-                        outcome: VerificationOutcome::Satisfied,
-                        counterexample: None,
-                        stats,
-                        repeated_stats,
-                        repeated_cycle,
-                        worker_stats: Vec::new(),
-                        failure: failure.clone(),
-                    },
-                }
-            }
-        }
+        run_phases(
+            &self.product,
+            CoverageKind::Equality,
+            CoverageKind::Equality,
+            options,
+            &mut SearchControl::default(),
+        )
     }
 }
 

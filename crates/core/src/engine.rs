@@ -822,6 +822,7 @@ impl<'e, 'f> BatchBuilder<'e, 'f> {
                 })
             });
             if let Some(callback) = &on_result {
+                handle.retire();
                 // The callback is observability only: a panic in user code
                 // must not discard the finished report (the scheduler
                 // would drop the whole slot and misattribute the loss to a

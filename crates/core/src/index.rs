@@ -1,60 +1,121 @@
-//! Data-structure support for the pruning tests (Section 3.6).
+//! Data-structure support for the coverage tests (Section 3.6).
 //!
-//! Every time a new state is produced the search must (1) find the active
-//! states it covers and (2) check whether an active state covers it.  Both
-//! reduce to subset/superset queries over the state's edge signature (see
-//! [`edge_signature`]: the `=`-edges of its type), which over-approximate
-//! the ≼ tests and cheaply filter the candidates before the exact
-//! (max-flow based) comparison runs.
+//! Every time the search produces a state it must find the active states
+//! that cover it and the active states it covers.  Every coverage order
+//! requires equal discrete components (automaton state, child activation,
+//! closed flag), so with DSS on `Candidates` keeps one ascending id
+//! vector per discrete key: scanning a group visits exactly the states a
+//! full scan would accept, in the same order.  With DSS off it is the
+//! paper's no-DSS ablation, a linear scan over every id.
 //!
-//! The paper uses a Trie for superset queries and inverted lists for subset
-//! queries; this implementation answers both kinds of queries from posting
-//! lists (an inverted index from edges to states), which has the same
-//! filtering power: a stored state is a *subset candidate* when all of its
-//! edges occur in the query, and a *superset candidate* when it occurs in
-//! the posting list of every query edge.
-//!
-//! The index is **concurrent**: states are partitioned into groups by
-//! their discrete components (automaton state, child activation, closed
-//! flag) — only states of the same group are ever comparable — and the
-//! groups are kept behind per-group read/write locks inside a sharded
-//! group directory.  The parallel plan phase of
-//! [`crate::search::KarpMillerSearch`] issues subset/superset candidate
-//! queries from all workers at once (shared read locks per group) while
-//! the sequential apply phase inserts and removes states (short write
-//! locks per group).
+//! The paper's Trie and inverted lists over state signatures survive as
+//! `SubsetFilter`: posting lists from the `=`-edges of a type to the
+//! states holding them, built once over the final active set of the
+//! repeated-reachability cycle pass.  It is the only place a signature
+//! filter pays for itself: there most candidates of a group fail the
+//! exact test, while inside the search a group's members are cheap to
+//! test directly.
 
+use crate::coverage::discrete_key;
 use crate::pit::Edge;
 use crate::product::StateView;
-use crate::psi::TypeTable;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, RwLock};
+use std::collections::HashMap;
+use std::ops::Range;
 
-/// Discrete part of a state; candidates are only comparable within the same
-/// group.
-type GroupKey = (usize, u64, bool);
+/// Discrete part of a state; only states of the same group are ever
+/// comparable.
+pub(crate) type GroupKey = (usize, u64, bool);
 
-/// Number of shards in the group directory (a power of two; bounds lock
-/// contention when many groups are created at once).
-const SHARD_COUNT: usize = 16;
-
-fn group_key(state: StateView<'_>) -> GroupKey {
-    crate::coverage::discrete_key(state)
+/// Coverage-candidate ids of a set that grows by ascending ids.
+#[derive(Debug)]
+pub(crate) struct Candidates {
+    /// Ascending live ids per discrete key, or `None` for the linear scan.
+    groups: Option<HashMap<GroupKey, Vec<u32>>>,
+    /// One past the largest id inserted.
+    len: u32,
 }
 
-fn shard_of(key: &GroupKey) -> usize {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    (hasher.finish() as usize) % SHARD_COUNT
+impl Candidates {
+    /// An empty set: grouped by discrete key with DSS on, scanned
+    /// linearly with it off.
+    pub(crate) fn new(data_structure_support: bool) -> Self {
+        Candidates {
+            groups: data_structure_support.then(HashMap::new),
+            len: 0,
+        }
+    }
+
+    /// Add `id`, which must exceed every id added before.
+    pub(crate) fn insert(&mut self, key: GroupKey, id: u32) {
+        debug_assert!(id >= self.len, "ids are inserted in ascending order");
+        self.len = id + 1;
+        if let Some(groups) = &mut self.groups {
+            groups.entry(key).or_default().push(id);
+        }
+    }
+
+    /// Drop `id` from its group.  The scan still yields it, so callers
+    /// check liveness themselves.
+    pub(crate) fn remove(&mut self, key: GroupKey, id: u32) {
+        if let Some(group) = self.groups.as_mut().and_then(|g| g.get_mut(&key)) {
+            // Ordered removal keeps the group ascending.
+            if let Ok(pos) = group.binary_search(&id) {
+                group.remove(pos);
+            }
+        }
+    }
+
+    /// The ids ≥ `from` that may share `key`, ascending: the key's group,
+    /// or every id inserted so far under the scan.
+    pub(crate) fn ids(&self, key: GroupKey, from: u32) -> Ids<'_> {
+        match &self.groups {
+            Some(groups) => {
+                let group = groups.get(&key).map_or(&[][..], Vec::as_slice);
+                Ids::Listed(group[group.partition_point(|&id| id < from)..].iter())
+            }
+            None => Ids::Scan(from..self.len),
+        }
+    }
 }
 
-/// The edge signature of a state: the `=`-edges of its partial isomorphism
-/// type.
+/// An ascending run of candidate ids.
+#[derive(Debug)]
+pub(crate) enum Ids<'a> {
+    /// Part of a discrete group.
+    Listed(std::slice::Iter<'a, u32>),
+    /// Every id of a range.
+    Scan(Range<u32>),
+    /// The ids a [`SubsetFilter`] query kept.
+    Filtered(std::vec::IntoIter<u32>),
+}
+
+impl Iterator for Ids<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            Ids::Listed(ids) => ids.next().copied(),
+            Ids::Scan(ids) => ids.next(),
+            Ids::Filtered(ids) => ids.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Ids::Listed(ids) => ids.size_hint(),
+            Ids::Scan(ids) => ids.size_hint(),
+            Ids::Filtered(ids) => ids.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for Ids<'_> {}
+
+/// The edge signature of a state: the `=`-edges of its partial
+/// isomorphism type (a sorted set, like the type's edges).
 ///
-/// This is the largest signature for which the subset/superset filters are
-/// *sound* (they never drop a true coverage candidate), which the
+/// This is the largest signature for which the subset filter is *sound*
+/// (it never drops a true coverage candidate), which the
 /// repeated-reachability cycle detection depends on — a dropped candidate
 /// there would be a missed edge and possibly a missed violation:
 ///
@@ -68,205 +129,88 @@ fn shard_of(key: &GroupKey) -> usize {
 /// * stored-type edges (of positive counters) are excluded for soundness:
 ///   a covering state may hold stored tuples the flow mapping leaves as
 ///   slack, whose types — and edges — appear nowhere in the covered state.
-///
-/// Because the filter is sound in both directions, a search run with the
-/// index enabled is bit-identical to one without it.
-pub fn edge_signature(state: StateView<'_>, _interner: &dyn TypeTable) -> BTreeSet<Edge> {
-    state
-        .pit
-        .edges()
-        .iter()
-        .copied()
-        .filter(|e| !e.is_neq())
-        .collect()
+fn edge_signature<'a>(state: StateView<'a>) -> impl Iterator<Item = Edge> + 'a {
+    state.pit.edges().iter().copied().filter(|e| !e.is_neq())
 }
 
+/// Posting lists of one discrete group.
 #[derive(Debug, Default)]
-struct GroupIndex {
-    /// Posting lists: edge → arena ids whose signature contains the edge.
+struct FilterGroup {
+    /// Edge → ascending ids whose signature contains the edge.
     postings: HashMap<Edge, Vec<u32>>,
-    /// Signature size per state.
-    sizes: HashMap<u32, usize>,
-    /// States with an empty signature.
+    /// Ascending ids with an empty signature.
     empty: Vec<u32>,
-    /// States marked removed (lazily filtered out of query results).
-    removed: HashSet<u32>,
 }
 
-/// Inverted index over active states used to filter coverage candidates.
+/// A subset-signature filter over a fixed set of states.
 ///
-/// All operations take `&self`: mutation goes through the per-group write
-/// locks, so one index can serve concurrent readers (and writers of
-/// disjoint groups) from many worker threads.
+/// A stored state can cover a query only when its signature is a subset
+/// of the query's, i.e. when it occurs in the posting list of each of its
+/// own signature edges among the query's edges.  The filter is immutable
+/// once built, so any number of threads query it without locks.
 #[derive(Debug)]
-pub struct StateIndex {
-    shards: Vec<RwLock<HashMap<GroupKey, Arc<RwLock<GroupIndex>>>>>,
+pub(crate) struct SubsetFilter {
+    groups: HashMap<GroupKey, FilterGroup>,
+    /// Signature length per id.
+    sizes: Vec<usize>,
 }
 
-impl Default for StateIndex {
-    fn default() -> Self {
-        StateIndex {
-            shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
+impl SubsetFilter {
+    /// Index `states` under the ids 0, 1, 2, … in iteration order.
+    pub(crate) fn new<'a>(states: impl IntoIterator<Item = StateView<'a>>) -> Self {
+        let mut groups: HashMap<GroupKey, FilterGroup> = HashMap::new();
+        let mut sizes = Vec::new();
+        for (id, state) in states.into_iter().enumerate() {
+            let id = id as u32;
+            let group = groups.entry(discrete_key(state)).or_default();
+            let mut size = 0;
+            for edge in edge_signature(state) {
+                group.postings.entry(edge).or_default().push(id);
+                size += 1;
+            }
+            if size == 0 {
+                group.empty.push(id);
+            }
+            sizes.push(size);
         }
-    }
-}
-
-impl StateIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        StateIndex::default()
+        SubsetFilter { groups, sizes }
     }
 
-    /// Build a compact index over a fixed set of states.
+    /// Narrow `group` — the candidates of `state`'s discrete group,
+    /// ascending — to the ids whose signature is a subset of `state`'s.
     ///
-    /// The repeated-reachability post-pass uses this to index the final
-    /// (post-prune) active set by position: unlike the search's live
-    /// index, the result carries no removal tombstones and no inactive
-    /// entries, so candidate queries need no per-hit activity filtering.
-    pub fn over_states<'a, I>(states: I, interner: &dyn TypeTable) -> Self
-    where
-        I: IntoIterator<Item = (u32, StateView<'a>)>,
-    {
-        let index = StateIndex::new();
-        for (id, state) in states {
-            index.insert(id, state, interner);
-        }
-        index
-    }
-
-    /// The group of a state, if it exists yet.
-    fn group(&self, key: &GroupKey) -> Option<Arc<RwLock<GroupIndex>>> {
-        self.shards[shard_of(key)].read().unwrap().get(key).cloned()
-    }
-
-    /// The group of a state, created on first use.
-    fn group_or_insert(&self, key: GroupKey) -> Arc<RwLock<GroupIndex>> {
-        if let Some(group) = self.group(&key) {
+    /// A query walks the posting lists of the state's signature edges.
+    /// When their total length exceeds the group's, high-frequency edges
+    /// make filtering dearer than testing the group itself, so `group`
+    /// comes back unchanged: the same over-approximation, only coarser.
+    /// Either way the ids come out ascending.
+    pub(crate) fn narrow<'c>(&self, state: StateView<'_>, group: Ids<'c>) -> Ids<'c> {
+        let Some(lists) = self.groups.get(&discrete_key(state)) else {
+            return group;
+        };
+        let cost: usize = edge_signature(state)
+            .map(|edge| lists.postings.get(&edge).map_or(0, Vec::len))
+            .sum();
+        if cost > group.len() {
             return group;
         }
-        let mut shard = self.shards[shard_of(&key)].write().unwrap();
-        Arc::clone(shard.entry(key).or_default())
-    }
-
-    /// Insert a state under the given id.
-    pub fn insert(&self, id: u32, state: StateView<'_>, interner: &dyn TypeTable) {
-        let group = self.group_or_insert(group_key(state));
-        let signature = edge_signature(state, interner);
-        let mut group = group.write().unwrap();
-        group.removed.remove(&id);
-        group.sizes.insert(id, signature.len());
-        if signature.is_empty() {
-            group.empty.push(id);
-        } else {
-            for edge in signature {
-                group.postings.entry(edge).or_default().push(id);
+        let mut hits: Vec<u32> = Vec::with_capacity(cost);
+        for edge in edge_signature(state) {
+            if let Some(list) = lists.postings.get(&edge) {
+                hits.extend_from_slice(list);
             }
         }
-    }
-
-    /// Mark a state as removed (lazily filtered out of query results).
-    pub fn remove(&self, id: u32, state: StateView<'_>) {
-        if let Some(group) = self.group(&group_key(state)) {
-            group.write().unwrap().removed.insert(id);
-        }
-    }
-
-    /// Candidate states whose signature is a *subset* of the query's
-    /// signature — the only states that can possibly cover the query under
-    /// ≼ (their types are less restrictive).
-    pub fn subset_candidates(&self, state: StateView<'_>, interner: &dyn TypeTable) -> Vec<u32> {
-        self.subset_candidates_bounded(state, interner, usize::MAX)
-            .expect("an unbounded query always returns")
-    }
-
-    /// Like [`StateIndex::subset_candidates`], but gives up (returns
-    /// `None`) when answering would walk more than `budget` posting
-    /// entries.  A query's cost is the total length of the posting lists
-    /// of the query's signature edges; when high-frequency edges make that
-    /// exceed the cost of the caller's coarser fallback (typically a scan
-    /// of the state's whole discrete group), filtering through the index
-    /// is a net loss and the caller should scan instead.
-    pub fn subset_candidates_bounded(
-        &self,
-        state: StateView<'_>,
-        interner: &dyn TypeTable,
-        budget: usize,
-    ) -> Option<Vec<u32>> {
-        let Some(group) = self.group(&group_key(state)) else {
-            return Some(Vec::new());
-        };
-        let signature = edge_signature(state, interner);
-        let group = group.read().unwrap();
-        let cost: usize = signature
-            .iter()
-            .map(|edge| group.postings.get(edge).map_or(0, Vec::len))
-            .sum();
-        if cost > budget {
-            return None;
-        }
-        let mut hits: HashMap<u32, usize> = HashMap::new();
-        for edge in &signature {
-            if let Some(list) = group.postings.get(edge) {
-                for &id in list {
-                    *hits.entry(id).or_insert(0) += 1;
-                }
+        hits.sort_unstable();
+        // An id whose every signature edge is among the query's occurs
+        // once per edge, i.e. exactly its signature length times.
+        let mut kept = lists.empty.clone();
+        for run in hits.chunk_by(|a, b| a == b) {
+            if run.len() == self.sizes[run[0] as usize] {
+                kept.push(run[0]);
             }
         }
-        let mut out: Vec<u32> = group
-            .empty
-            .iter()
-            .copied()
-            .filter(|id| !group.removed.contains(id))
-            .collect();
-        out.extend(hits.into_iter().filter_map(|(id, count)| {
-            (!group.removed.contains(&id) && count == group.sizes[&id]).then_some(id)
-        }));
-        out.sort_unstable();
-        out.dedup();
-        Some(out)
-    }
-
-    /// Candidate states whose signature is a *superset* of the query's
-    /// signature — the only states that the query can possibly cover under
-    /// ≼.
-    pub fn superset_candidates(&self, state: StateView<'_>, interner: &dyn TypeTable) -> Vec<u32> {
-        let Some(group) = self.group(&group_key(state)) else {
-            return Vec::new();
-        };
-        let signature = edge_signature(state, interner);
-        let group = group.read().unwrap();
-        let mut result: Option<HashSet<u32>> = None;
-        if signature.is_empty() {
-            // Every state of the group is a superset of the empty signature.
-            let mut all: HashSet<u32> = group.sizes.keys().copied().collect();
-            all.retain(|id| !group.removed.contains(id));
-            let mut out: Vec<u32> = all.into_iter().collect();
-            out.sort_unstable();
-            return out;
-        }
-        for edge in &signature {
-            let list: HashSet<u32> = group
-                .postings
-                .get(edge)
-                .map(|l| l.iter().copied().collect())
-                .unwrap_or_default();
-            result = Some(match result {
-                None => list,
-                Some(prev) => prev.intersection(&list).copied().collect(),
-            });
-            if result.as_ref().is_some_and(HashSet::is_empty) {
-                return Vec::new();
-            }
-        }
-        let mut out: Vec<u32> = result
-            .unwrap_or_default()
-            .into_iter()
-            .filter(|id| !group.removed.contains(id))
-            .collect();
-        out.sort_unstable();
-        out
+        kept.sort_unstable();
+        Ids::Filtered(kept.into_iter())
     }
 }
 
@@ -276,8 +220,8 @@ mod tests {
     use crate::expr::ExprUniverse;
     use crate::pit::{Pit, PitBuilder};
     use crate::product::ProductState;
-    use crate::psi::{Psi, StoredTypeInterner};
-    use std::collections::BTreeSet as StdBTreeSet;
+    use crate::psi::Psi;
+    use std::collections::BTreeSet;
     use verifas_model::schema::attr::data;
     use verifas_model::{
         Condition, DataValue, DatabaseSchema, SpecBuilder, TaskBuilder, VarId, VarRef,
@@ -295,7 +239,7 @@ mod tests {
             &spec,
             spec.root(),
             &[],
-            &StdBTreeSet::from([DataValue::str("a"), DataValue::str("b")]),
+            &BTreeSet::from([DataValue::str("a"), DataValue::str("b")]),
         )
     }
 
@@ -315,90 +259,78 @@ mod tests {
         b.finish().unwrap()
     }
 
-    #[test]
-    fn subset_and_superset_candidates() {
-        let u = universe();
-        let interner = StoredTypeInterner::new();
-        let index = StateIndex::new();
-        let empty = state_with(Pit::empty());
-        let xa = state_with(pit_eq(&u, 0, "a"));
-        let both = state_with(pit_eq(&u, 0, "a").conjoin(&pit_eq(&u, 1, "b"), &u).unwrap());
-        index.insert(0, empty.view(), &interner);
-        index.insert(1, xa.view(), &interner);
-        index.insert(2, both.view(), &interner);
-        // Subset candidates of `both`: everything with signature ⊆ both.
-        assert_eq!(
-            index.subset_candidates(both.view(), &interner),
-            vec![0, 1, 2]
-        );
-        // Subset candidates of `xa`: the empty state and itself.
-        assert_eq!(index.subset_candidates(xa.view(), &interner), vec![0, 1]);
-        // Superset candidates of `xa`: itself and `both`.
-        assert_eq!(index.superset_candidates(xa.view(), &interner), vec![1, 2]);
-        // Superset candidates of the empty state: all.
-        assert_eq!(
-            index.superset_candidates(empty.view(), &interner),
-            vec![0, 1, 2]
-        );
+    /// Grouped candidates and a filter over the same states, ids in order.
+    fn indexed(states: &[&ProductState]) -> (Candidates, SubsetFilter) {
+        let mut candidates = Candidates::new(true);
+        for (id, state) in states.iter().enumerate() {
+            candidates.insert(discrete_key(state.view()), id as u32);
+        }
+        let filter = SubsetFilter::new(states.iter().map(|s| s.view()));
+        (candidates, filter)
+    }
+
+    fn narrowed(candidates: &Candidates, filter: &SubsetFilter, state: &ProductState) -> Vec<u32> {
+        let group = candidates.ids(discrete_key(state.view()), 0);
+        filter.narrow(state.view(), group).collect()
     }
 
     #[test]
-    fn removed_states_disappear_from_queries() {
+    fn subset_candidates() {
         let u = universe();
-        let interner = StoredTypeInterner::new();
-        let index = StateIndex::new();
-        let xa = state_with(pit_eq(&u, 0, "a"));
-        index.insert(0, xa.view(), &interner);
         let empty = state_with(Pit::empty());
-        index.insert(1, empty.view(), &interner);
-        index.remove(0, xa.view());
-        assert_eq!(index.subset_candidates(xa.view(), &interner), vec![1]);
-        assert_eq!(
-            index.superset_candidates(xa.view(), &interner),
-            Vec::<u32>::new()
-        );
+        let xa = state_with(pit_eq(&u, 0, "a"));
+        let both = state_with(pit_eq(&u, 0, "a").conjoin(&pit_eq(&u, 1, "b"), &u).unwrap());
+        let (candidates, filter) = indexed(&[&empty, &xa, &both]);
+        // Subset candidates of `both`: everything with signature ⊆ both.
+        assert_eq!(narrowed(&candidates, &filter, &both), vec![0, 1, 2]);
+        // Subset candidates of `xa`: the empty state and itself.
+        assert_eq!(narrowed(&candidates, &filter, &xa), vec![0, 1]);
+        // Subset candidates of the empty state: empty signatures only.
+        assert_eq!(narrowed(&candidates, &filter, &empty), vec![0]);
+    }
+
+    /// A query whose posting lists are longer than its group yields the
+    /// group itself; one under that limit yields the filtered subset.
+    #[test]
+    fn costly_queries_fall_back_to_the_group() {
+        let u = universe();
+        // x = a ∧ y = a closes to three `=`-edges: x=a, y=a, x=y.
+        let xy = || state_with(pit_eq(&u, 0, "a").conjoin(&pit_eq(&u, 1, "a"), &u).unwrap());
+        let (first, second) = (xy(), xy());
+        let xb = state_with(pit_eq(&u, 0, "b"));
+        let (candidates, filter) = indexed(&[&first, &xb, &second]);
+        // Querying `first` walks 3 edges × 2 postings = 6 > 3 members.
+        assert_eq!(narrowed(&candidates, &filter, &first), vec![0, 1, 2]);
+        // Querying `xb` walks one posting, under the limit: only itself.
+        assert_eq!(narrowed(&candidates, &filter, &xb), vec![1]);
     }
 
     #[test]
     fn groups_partition_by_discrete_state() {
         let u = universe();
-        let interner = StoredTypeInterner::new();
-        let index = StateIndex::new();
         let mut a = state_with(pit_eq(&u, 0, "a"));
-        index.insert(0, a.view(), &interner);
+        let (candidates, filter) = indexed(&[&a]);
         a.buchi = 3;
         // Different automaton state: no candidates from the other group.
-        assert!(index.subset_candidates(a.view(), &interner).is_empty());
-        assert!(index.superset_candidates(a.view(), &interner).is_empty());
+        assert!(narrowed(&candidates, &filter, &a).is_empty());
     }
 
+    /// Without DSS every id inserted so far is a candidate, grouped or
+    /// not and live or not; with it only the live members of the group.
     #[test]
-    fn concurrent_queries_and_inserts_are_safe() {
-        let u = universe();
-        let interner = StoredTypeInterner::new();
-        let index = StateIndex::new();
-        let states: Vec<ProductState> = (0..4)
-            .map(|i| {
-                let mut s = state_with(pit_eq(&u, 0, "a"));
-                s.buchi = i;
-                s
-            })
-            .collect();
-        for (i, s) in states.iter().enumerate() {
-            index.insert(i as u32, s.view(), &interner);
+    fn the_scan_yields_every_id_and_groups_only_live_members() {
+        let (one, two) = ((0, 0, false), (1, 0, false));
+        let mut scan = Candidates::new(false);
+        let mut grouped = Candidates::new(true);
+        for (id, key) in [one, two, one, one].into_iter().enumerate() {
+            scan.insert(key, id as u32);
+            grouped.insert(key, id as u32);
         }
-        std::thread::scope(|scope| {
-            for s in &states {
-                let index = &index;
-                let interner = &interner;
-                scope.spawn(move || {
-                    for _ in 0..50 {
-                        let subs = index.subset_candidates(s.view(), interner);
-                        assert_eq!(subs.len(), 1);
-                        assert_eq!(index.superset_candidates(s.view(), interner), subs);
-                    }
-                });
-            }
-        });
+        scan.remove(one, 2);
+        grouped.remove(one, 2);
+        assert_eq!(scan.ids(one, 1).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(grouped.ids(one, 0).collect::<Vec<_>>(), vec![0, 3]);
+        assert_eq!(grouped.ids(one, 1).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(grouped.ids(two, 0).len(), 1);
     }
 }

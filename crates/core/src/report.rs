@@ -390,7 +390,6 @@ fn cycle_stats_to_json(stats: &CycleStats) -> Json {
             Json::Num(stats.cyclic_states as f64),
         ),
         ("threads".to_owned(), Json::Num(stats.threads as f64)),
-        ("used_index".to_owned(), Json::Bool(stats.used_index)),
         (
             "edge_micros".to_owned(),
             Json::Num(stats.edge_micros as f64),
@@ -409,7 +408,6 @@ fn cycle_stats_from_json(value: &Json) -> Result<CycleStats, VerifasError> {
         sccs: u64_member(value, "sccs")? as usize,
         cyclic_states: u64_member(value, "cyclic_states")? as usize,
         threads: u64_member(value, "threads")? as usize,
-        used_index: bool_member(value, "used_index")?,
         edge_micros: u64_member(value, "edge_micros")?,
         scc_micros: u64_member(value, "scc_micros")?,
         completed: bool_member(value, "completed")?,
@@ -563,10 +561,6 @@ fn options_to_json(options: &VerifierOptions) -> Json {
             ]),
         ),
         (
-            "reference_layout".to_owned(),
-            Json::Bool(options.reference_layout),
-        ),
-        (
             "reference_repeated".to_owned(),
             Json::Bool(options.reference_repeated),
         ),
@@ -586,14 +580,8 @@ fn options_from_json(value: &Json) -> Result<VerifierOptions, VerifasError> {
             max_states: u64_member(limits, "max_states")? as usize,
             max_millis: u64_member(limits, "max_millis")?,
         },
-        // Oracle-arm toggles postdate schema v4; documents written before
-        // them simply omit the members and default to the real engine.
-        reference_layout: value
-            .get("reference_layout")
-            .map_or(Ok(false), |v| match v {
-                Json::Bool(b) => Ok(*b),
-                _ => bool_member(value, "reference_layout"),
-            })?,
+        // The oracle-arm toggle postdates schema v4; documents written
+        // before it simply omit the member and default to the real engine.
         reference_repeated: value
             .get("reference_repeated")
             .map_or(Ok(false), |v| match v {
@@ -649,7 +637,6 @@ mod tests {
                 sccs: 4,
                 cyclic_states: 6,
                 threads: 4,
-                used_index: true,
                 edge_micros: 2_150,
                 scc_micros: 480,
                 completed: true,
@@ -698,6 +685,23 @@ mod tests {
         assert_eq!(parsed, report);
         // And the serialization itself is stable.
         assert_eq!(parsed.to_json(), text);
+    }
+
+    /// Documents written before `used_index` and `reference_layout` were
+    /// dropped still read: unknown members are ignored.
+    #[test]
+    fn retired_members_are_ignored() {
+        let report = sample_report();
+        let text = report
+            .to_json()
+            .replacen("\"edge_micros\"", "\"used_index\":true,\"edge_micros\"", 1)
+            .replacen(
+                "\"reference_repeated\"",
+                "\"reference_layout\":false,\"reference_repeated\"",
+                1,
+            );
+        assert!(text.contains("used_index") && text.contains("reference_layout"));
+        assert_eq!(VerificationReport::from_json(&text).unwrap(), report);
     }
 
     #[test]

@@ -258,6 +258,7 @@ pub struct JobHandle {
     index: usize,
     started_ms: u64,
     budget: Option<ThreadBudget>,
+    scheduler: Arc<SchedulerInner>,
 }
 
 impl JobHandle {
@@ -271,6 +272,18 @@ impl JobHandle {
     /// rules).
     pub fn budget(&self) -> Option<&ThreadBudget> {
         self.budget.as_ref()
+    }
+
+    /// Hand the job's cores to the jobs still running.  The scheduler
+    /// does this when the job returns; a job that reports its result
+    /// before returning calls it first, so whoever the report wakes finds
+    /// the cores already moved.
+    pub(crate) fn retire(&self) {
+        if self.budget.is_some() {
+            let mut state = lock_ignoring_poison(&self.scheduler.state);
+            state.running.retain(|(index, _)| *index != self.index);
+            self.scheduler.rebalance(&mut state);
+        }
     }
 }
 
@@ -513,17 +526,14 @@ impl Scheduler {
             index,
             started_ms,
             budget,
+            scheduler: Arc::clone(&self.inner),
         }
     }
 
     /// Retire a finished job: hand its cores to the survivors and build
     /// its [`ScheduleStats`].
     fn finish_job(&self, handle: &JobHandle) -> ScheduleStats {
-        if handle.budget.is_some() {
-            let mut state = lock_ignoring_poison(&self.inner.state);
-            state.running.retain(|(index, _)| *index != handle.index);
-            self.inner.rebalance(&mut state);
-        }
+        handle.retire();
         ScheduleStats {
             policy: self.inner.policy,
             batch_threads: self.initial_threads,

@@ -1,7 +1,7 @@
 //! The Karp–Miller search over partial symbolic instances (Algorithm 1)
 //! with ω-acceleration (Section 3.3), monotone pruning (Section 3.4, after
 //! Reynier–Servais) and the ≼-based aggressive pruning (Section 3.5),
-//! optionally filtered through the inverted-list index (Section 3.6).
+//! with coverage candidates grouped by discrete key (Section 3.6).
 //!
 //! The search explores the product of the symbolic transition system with
 //! the violation automaton.  It stops immediately when a *finite* violating
@@ -15,21 +15,19 @@
 //! The tree lives in an arena-backed structure-of-arrays layout
 //! ([`crate::arena::StateArena`]): nodes are dense `u32`-indexed rows over
 //! deduplicating type and counter arenas, compared through borrowed
-//! [`StateView`]s.  Coverage and prune candidates are discovered three
-//! ways, all bit-identical:
+//! [`StateView`]s.  Coverage and prune candidates come from
+//! `index::Candidates`, chosen by the DSS flag and bit-identical
+//! either way:
 //!
-//! * with the inverted-list index ([`KarpMillerSearch::use_index`]),
-//!   through signature subset/superset posting queries;
-//! * without the index, through per-discrete-group candidate vectors
+//! * with data-structure support, per-discrete-group candidate vectors
 //!   (active arena ids in ascending order, one vector per `(automaton
 //!   state, child mask, closed)` key) — since every coverage relation
 //!   requires equal discrete keys, scanning the group in id order visits
 //!   exactly the states a full linear scan would have accepted, in the
 //!   same order;
-//! * with [`KarpMillerSearch::reference_layout`] set, through the
-//!   pre-overhaul full linear scans over the node table — kept as a
-//!   differential oracle and as the denominator of the `state_layout`
-//!   benchmark.
+//! * without it, the full linear scan over the node table — the paper's
+//!   no-DSS ablation, and the differential oracle and benchmark
+//!   denominator of the grouped path.
 //!
 //! # Parallel execution
 //!
@@ -68,8 +66,8 @@
 //! finished properties to still-running searches mid-flight.
 
 use crate::arena::StateArena;
-use crate::coverage::{accelerate, covers, CoverageKind};
-use crate::index::StateIndex;
+use crate::coverage::{accelerate, covers, discrete_key, CoverageKind};
+use crate::index::{Candidates, Ids};
 use crate::observer::{ProgressEvent, SearchControl};
 use crate::pit::Pit;
 use crate::product::{ProductState, ProductSystem, StateView};
@@ -77,7 +75,6 @@ use crate::psi::{
     is_provisional, provisional_parts, CounterVec, StoredTypeId, StoredTypeInterner, TypeTable,
     WorkerInterner,
 };
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -327,16 +324,6 @@ pub struct KarpMillerSearch<'a> {
     product: &'a ProductSystem,
     /// The coverage order used for pruning.
     pub coverage: CoverageKind,
-    /// Whether the inverted-list index filters coverage candidates
-    /// (the "data structure support" optimisation).
-    pub use_index: bool,
-    /// When set, coverage/prune candidates are discovered through the
-    /// pre-overhaul full linear scans over the node table instead of the
-    /// per-discrete-group vectors (only meaningful without the index).
-    /// Kept as a differential oracle for the grouped layout and as the
-    /// denominator of the `state_layout` benchmark; results are
-    /// bit-identical, only slower.
-    pub reference_layout: bool,
     /// Resource limits.
     pub limits: SearchLimits,
     /// Number of worker threads expanding the frontier (0 = one per
@@ -369,28 +356,26 @@ pub struct KarpMillerSearch<'a> {
     /// message as a typed [`crate::error::VerifasError::Internal`]
     /// instead of aborting the process.  Sticky for the run.
     pub failure: Option<String>,
-    index: StateIndex,
-    /// Active arena ids per discrete key, ascending — the coverage/prune
-    /// candidate map used when the index is off (every coverage relation
-    /// requires equal discrete keys, so the group holds every candidate a
-    /// full scan could accept, in the same id order).
-    groups: HashMap<(usize, u64, bool), Vec<u32>>,
+    /// Coverage/prune candidate ids: the active ids of each discrete
+    /// group with data-structure support, every node id without it.
+    candidates: Candidates,
 }
 
 impl<'a> KarpMillerSearch<'a> {
     /// Create a (sequential) search over a product system; set
-    /// [`KarpMillerSearch::threads`] to parallelise it.
+    /// [`KarpMillerSearch::threads`] to parallelise it.  With
+    /// `data_structure_support` coverage candidates are grouped by
+    /// discrete key; without it every node is scanned (the no-DSS
+    /// ablation).  The result is the same either way.
     pub fn new(
         product: &'a ProductSystem,
         coverage: CoverageKind,
-        use_index: bool,
+        data_structure_support: bool,
         limits: SearchLimits,
     ) -> Self {
         KarpMillerSearch {
             product,
             coverage,
-            use_index,
-            reference_layout: false,
             limits,
             threads: 1,
             arena: StateArena::new(),
@@ -401,8 +386,7 @@ impl<'a> KarpMillerSearch<'a> {
             successor_log: Vec::new(),
             log_compact_at: 1024,
             failure: None,
-            index: StateIndex::new(),
-            groups: HashMap::new(),
+            candidates: Candidates::new(data_structure_support),
         }
     }
 
@@ -511,6 +495,15 @@ impl<'a> KarpMillerSearch<'a> {
         control.emit(ProgressEvent::PhaseStarted { phase });
         let mut frontier: Vec<u32> = Vec::new();
         let mut apply = ApplyScratch::new();
+        if self.record_successors {
+            // The log grows to megabytes by doubling on this thread, and a
+            // reallocated block stays in the allocator arena it came from.
+            // A small first block can be a recycled one that a plan worker
+            // allocated, whose arena would then keep every doubling; a
+            // first block past the allocator's small-size thread cache
+            // comes from this thread's own heap.
+            self.successor_log.reserve(self.log_compact_at);
+        }
         for state in self.product.initial_states() {
             let id = self.add_node(&state, None, self.product.task.opening_service());
             frontier.push(id);
@@ -797,66 +790,29 @@ impl<'a> KarpMillerSearch<'a> {
         }
     }
 
-    /// The group candidate vector of a state, if one exists (empty when
-    /// the discrete key has never been seen).
-    fn group_of(&self, state: StateView<'_>) -> &[u32] {
-        self.groups
-            .get(&crate::coverage::discrete_key(state))
-            .map_or(&[], Vec::as_slice)
+    /// Candidate ids ≥ `from` that may relate to `state` by coverage,
+    /// ascending.  The scan also yields inactive ids, so every caller
+    /// checks liveness.
+    fn candidates_of(&self, state: StateView<'_>, from: u32) -> Ids<'_> {
+        self.candidates.ids(discrete_key(state), from)
     }
 
     /// First snapshot-active node covering the candidate state, if any.
     fn snapshot_covered_by(&self, state: &ProductState, interner: &dyn TypeTable) -> Option<u32> {
         let view = state.view();
-        if self.use_index {
-            self.index
-                .subset_candidates(view, interner)
-                .into_iter()
-                .find(|&j| {
-                    self.arena.is_active(j)
-                        && covers(self.coverage, view, self.arena.view(j), interner)
-                })
-        } else if self.reference_layout {
-            (0..self.arena.len() as u32).find(|&j| {
-                self.arena.is_active(j) && covers(self.coverage, view, self.arena.view(j), interner)
-            })
-        } else {
-            // Group members are exactly the active states sharing the
-            // discrete key, ascending — the only ones `covers` can accept,
-            // in the order the full scan would have visited them.
-            self.group_of(view)
-                .iter()
-                .copied()
-                .find(|&j| covers(self.coverage, view, self.arena.view(j), interner))
-        }
+        self.candidates_of(view, 0).find(|&j| {
+            self.arena.is_active(j) && covers(self.coverage, view, self.arena.view(j), interner)
+        })
     }
 
     /// All snapshot-active nodes covered by the candidate state.
     fn snapshot_prunes(&self, state: &ProductState, interner: &dyn TypeTable) -> Vec<u32> {
         let view = state.view();
-        if self.use_index {
-            self.index
-                .superset_candidates(view, interner)
-                .into_iter()
-                .filter(|&j| {
-                    self.arena.is_active(j)
-                        && covers(self.coverage, self.arena.view(j), view, interner)
-                })
-                .collect()
-        } else if self.reference_layout {
-            (0..self.arena.len() as u32)
-                .filter(|&j| {
-                    self.arena.is_active(j)
-                        && covers(self.coverage, self.arena.view(j), view, interner)
-                })
-                .collect()
-        } else {
-            self.group_of(view)
-                .iter()
-                .copied()
-                .filter(|&j| covers(self.coverage, self.arena.view(j), view, interner))
-                .collect()
-        }
+        self.candidates_of(view, 0)
+            .filter(|&j| {
+                self.arena.is_active(j) && covers(self.coverage, self.arena.view(j), view, interner)
+            })
+            .collect()
     }
 
     /// Replay one node's plan against the live tree.  Returns the id of a
@@ -949,12 +905,12 @@ impl<'a> KarpMillerSearch<'a> {
             // speculative answer is reused when it still holds; states
             // added earlier in this round are always re-checked live.
             let covered = if !speculation_valid {
-                self.covered_by_active(&state)
+                self.covered_live(&state, 0)
             } else {
                 match succ.covered_by {
                     Some(j) if !apply.deactivated.contains(j) => true,
-                    Some(_) => self.covered_by_active(&state),
-                    None => self.covered_by_added(&state, round_base),
+                    Some(_) => self.covered_live(&state, 0),
+                    None => self.covered_live(&state, round_base),
                 }
             };
             if covered {
@@ -989,98 +945,33 @@ impl<'a> KarpMillerSearch<'a> {
 
     fn add_node(&mut self, state: &ProductState, parent: Option<u32>, service: ServiceRef) -> u32 {
         let id = self.arena.push(state, parent, service);
-        if self.use_index {
-            self.index.insert(id, self.arena.view(id), &self.interner);
-        } else if !self.reference_layout {
-            self.groups
-                .entry(self.arena.discrete_key(id))
-                .or_default()
-                .push(id);
-        }
+        self.candidates.insert(self.arena.discrete_key(id), id);
         self.stats.states_created += 1;
         id
     }
 
-    /// Is the candidate state covered by some active state of the live
-    /// tree?
-    fn covered_by_active(&self, state: &ProductState) -> bool {
+    /// Is the candidate covered by an active node with id ≥ `from` on the
+    /// live tree?  (`from` is 0 for the whole tree, or the round's first
+    /// id for the states added this round.)
+    fn covered_live(&self, state: &ProductState, from: u32) -> bool {
         let view = state.view();
-        if self.use_index {
-            // Candidates whose signature is a subset of the query's — the
-            // only ones that can be less restrictive (and hence cover it).
-            self.index
-                .subset_candidates(view, &self.interner)
-                .into_iter()
-                .any(|j| {
-                    self.arena.is_active(j)
-                        && covers(self.coverage, view, self.arena.view(j), &self.interner)
-                })
-        } else if self.reference_layout {
-            (0..self.arena.len() as u32).any(|j| {
-                self.arena.is_active(j)
-                    && covers(self.coverage, view, self.arena.view(j), &self.interner)
-            })
-        } else {
-            self.group_of(view)
-                .iter()
-                .any(|&j| covers(self.coverage, view, self.arena.view(j), &self.interner))
-        }
-    }
-
-    /// Is the candidate covered by an active state created at or after
-    /// `round_base` (i.e. in the current round)?
-    fn covered_by_added(&self, state: &ProductState, round_base: u32) -> bool {
-        let view = state.view();
-        if self.use_index {
-            self.index
-                .subset_candidates(view, &self.interner)
-                .into_iter()
-                .any(|j| {
-                    j >= round_base
-                        && self.arena.is_active(j)
-                        && covers(self.coverage, view, self.arena.view(j), &self.interner)
-                })
-        } else if self.reference_layout {
-            (round_base..self.arena.len() as u32).any(|j| {
-                self.arena.is_active(j)
-                    && covers(self.coverage, view, self.arena.view(j), &self.interner)
-            })
-        } else {
-            let group = self.group_of(view);
-            let from = group.partition_point(|&j| j < round_base);
-            group[from..]
-                .iter()
-                .any(|&j| covers(self.coverage, view, self.arena.view(j), &self.interner))
-        }
+        self.candidates_of(view, from).any(|j| {
+            self.arena.is_active(j)
+                && covers(self.coverage, view, self.arena.view(j), &self.interner)
+        })
     }
 
     /// Active, non-ancestor nodes with id ≥ `from` covered by `state` on
     /// the live tree.
     fn live_prunes(&self, state: &ProductState, ancestors: &EpochMarks, from: u32) -> Vec<u32> {
         let view = state.view();
-        let accepts = |j: u32| {
-            !ancestors.contains(j)
-                && covers(self.coverage, self.arena.view(j), view, &self.interner)
-        };
-        if self.use_index {
-            self.index
-                .superset_candidates(view, &self.interner)
-                .into_iter()
-                .filter(|&j| j >= from && self.arena.is_active(j) && accepts(j))
-                .collect()
-        } else if self.reference_layout {
-            (from..self.arena.len() as u32)
-                .filter(|&j| self.arena.is_active(j) && accepts(j))
-                .collect()
-        } else {
-            let group = self.group_of(view);
-            let start = group.partition_point(|&j| j < from);
-            group[start..]
-                .iter()
-                .copied()
-                .filter(|&j| accepts(j))
-                .collect()
-        }
+        self.candidates_of(view, from)
+            .filter(|&j| {
+                self.arena.is_active(j)
+                    && !ancestors.contains(j)
+                    && covers(self.coverage, self.arena.view(j), view, &self.interner)
+            })
+            .collect()
     }
 
     fn deactivate_subtree(
@@ -1097,17 +988,7 @@ impl<'a> KarpMillerSearch<'a> {
             self.arena.set_active(j, false);
             deactivated.insert(j);
             self.stats.states_pruned += 1;
-            if self.use_index {
-                self.index.remove(j, self.arena.view(j));
-            } else if !self.reference_layout {
-                // Ordered removal keeps the group vector ascending.
-                let key = self.arena.discrete_key(j);
-                if let Some(group) = self.groups.get_mut(&key) {
-                    if let Ok(pos) = group.binary_search(&j) {
-                        group.remove(pos);
-                    }
-                }
-            }
+            self.candidates.remove(self.arena.discrete_key(j), j);
             stack.extend(self.arena.children(j));
         }
     }
@@ -1259,7 +1140,7 @@ mod tests {
         let spec = unbounded_pool();
         let property = trivial_property();
         let product = ProductSystem::new(&spec, &property, true).unwrap();
-        for (coverage, use_index) in [
+        for (coverage, dss) in [
             (CoverageKind::Subsumption, true),
             (CoverageKind::Subsumption, false),
             (CoverageKind::Standard, false),
@@ -1268,9 +1149,9 @@ mod tests {
                 max_states: 5_000,
                 max_millis: 60_000,
             };
-            let mut sequential = KarpMillerSearch::new(&product, coverage, use_index, limits);
+            let mut sequential = KarpMillerSearch::new(&product, coverage, dss, limits);
             let seq_outcome = sequential.run();
-            let mut parallel = KarpMillerSearch::new(&product, coverage, use_index, limits);
+            let mut parallel = KarpMillerSearch::new(&product, coverage, dss, limits);
             parallel.threads = 4;
             let par_outcome = parallel.run();
             assert_eq!(seq_outcome, par_outcome);
@@ -1290,9 +1171,9 @@ mod tests {
         }
     }
 
-    /// The grouped candidate map must be a bit-identical replacement for
-    /// the pre-overhaul full linear scans (the `reference_layout` oracle):
-    /// same tree, same active set, same statistics.
+    /// The grouped candidates (DSS on) must be a bit-identical replacement
+    /// for the full linear scans (DSS off): same tree, same active set,
+    /// same statistics.
     #[test]
     fn grouped_layout_matches_reference_scans_exactly() {
         let spec = unbounded_pool();
@@ -1307,10 +1188,9 @@ mod tests {
                 max_states: 300,
                 max_millis: 60_000,
             };
-            let mut grouped = KarpMillerSearch::new(&product, coverage, false, limits);
+            let mut grouped = KarpMillerSearch::new(&product, coverage, true, limits);
             let grouped_outcome = grouped.run();
             let mut reference = KarpMillerSearch::new(&product, coverage, false, limits);
-            reference.reference_layout = true;
             let reference_outcome = reference.run();
             assert_eq!(grouped_outcome, reference_outcome);
             assert_eq!(grouped.len(), reference.len());

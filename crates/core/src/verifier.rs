@@ -1,16 +1,17 @@
-//! The user-facing verifier API.
+//! The verification options, results and the two-phase run behind
+//! `verifas::Engine`.
 //!
-//! [`Verifier`] ties together the product construction, the static
-//! analysis, the Karp–Miller search and the repeated-reachability
-//! analysis.  Every optimisation of Section 3 can be toggled through
-//! [`VerifierOptions`] so the ablation experiments of Table 3 can be
-//! reproduced:
+//! [`run_verification`] runs the Karp–Miller search and the
+//! repeated-reachability analysis over a prepared product system.  Every
+//! optimisation of Section 3 can be toggled through [`VerifierOptions`] so
+//! the ablation experiments of Table 3 can be reproduced:
 //!
 //! * `state_pruning` (SP) — use the ≼ subsumption order instead of the
 //!   classic ≤ order,
 //! * `static_analysis` (SA) — drop non-violating constraints,
-//! * `data_structure_support` (DSS) — filter coverage candidates through
-//!   the inverted-list index,
+//! * `data_structure_support` (DSS) — take coverage candidates from the
+//!   state's discrete group (and, in the cycle pass, through a signature
+//!   filter) instead of scanning every state,
 //! * `handle_artifact_relations` — `false` gives the `VERIFAS-NoSet`
 //!   configuration,
 //! * `check_repeated` — run the repeated-reachability module (needed for
@@ -22,9 +23,7 @@ use crate::observer::SearchControl;
 use crate::product::ProductSystem;
 use crate::repeated::{find_infinite_violation_with, CycleStats};
 use crate::search::{KarpMillerSearch, SearchLimits, SearchOutcome, SearchStats, WorkerStats};
-use crate::static_analysis::ConstraintGraph;
-use verifas_ltl::LtlFoProperty;
-use verifas_model::{HasSpec, ModelError, ServiceRef};
+use verifas_model::ServiceRef;
 
 /// Options controlling the verifier (all optimisations enabled by
 /// default).
@@ -50,12 +49,8 @@ pub struct VerifierOptions {
     pub search_threads: usize,
     /// Resource limits of each search phase.
     pub limits: SearchLimits,
-    /// Run phase 1 on the retained pre-arena linear-scan state layout
-    /// instead of the arena-backed one (an oracle arm for differential
-    /// testing; verdicts, witnesses and stats must be bit-identical).
-    pub reference_layout: bool,
     /// Run phase 2 through [`crate::repeated::find_infinite_violation_reference`]
-    /// (the retained O(active²) oracle) instead of the indexed
+    /// (the retained O(active²) oracle) instead of the filtered
     /// implementation.  The reference arm produces no [`CycleStats`], so
     /// differential comparisons against it cover verdict + witness +
     /// phase-1 stats only.
@@ -72,7 +67,6 @@ impl Default for VerifierOptions {
             check_repeated: true,
             search_threads: 1,
             limits: SearchLimits::default(),
-            reference_layout: false,
             reference_repeated: false,
         }
     }
@@ -194,59 +188,34 @@ impl VerificationResult {
     }
 }
 
-/// The VERIFAS verifier for one (specification, property) pair.
-///
-/// Deprecated: this one-shot front-end rebuilds the spec-side
-/// preprocessing on every construction.  Use `verifas::Engine`, which
-/// loads a specification once, serves many properties, shares the
-/// preprocessing across them and returns serializable
-/// [`crate::report::VerificationReport`]s.
-#[deprecated(
-    since = "0.2.0",
-    note = "use verifas::Engine (Engine::load(spec).check(&property)); \
-            Verifier will be removed after one release"
-)]
-pub struct Verifier {
-    product: ProductSystem,
-    options: VerifierOptions,
-}
-
-#[allow(deprecated)]
-impl Verifier {
-    /// Build a verifier; the property is validated against the
-    /// specification.
-    pub fn new(
-        spec: &HasSpec,
-        property: &LtlFoProperty,
-        options: VerifierOptions,
-    ) -> Result<Self, ModelError> {
-        spec.validate()?;
-        let mut product = ProductSystem::new(spec, property, options.handle_artifact_relations)?;
-        if options.static_analysis {
-            let graph =
-                ConstraintGraph::build(spec, property.task, property, &product.task.universe);
-            let removed = graph.non_violating_edges(&product.task.universe);
-            product.set_static_removed(removed);
-        }
-        Ok(Verifier { product, options })
-    }
-
-    /// The product system (exposed for inspection and benchmarking).
-    pub fn product(&self) -> &ProductSystem {
-        &self.product
-    }
-
-    /// Run the verification.
-    pub fn verify(&self) -> VerificationResult {
-        run_verification(&self.product, self.options, &mut SearchControl::default())
-    }
-}
-
 /// Run the two verification phases over a prepared product system under a
-/// [`SearchControl`] (observer + cancellation).  This is the shared
-/// implementation behind [`Verifier::verify`] and `verifas::Engine`.
+/// [`SearchControl`] (observer + cancellation).  This is the
+/// implementation behind `verifas::Engine`.
 pub fn run_verification(
     product: &ProductSystem,
+    options: VerifierOptions,
+    control: &mut SearchControl<'_>,
+) -> VerificationResult {
+    run_phases(
+        product,
+        options.coverage(),
+        options.repeated_coverage(),
+        options,
+        control,
+    )
+}
+
+/// The two verification phases under explicit coverage orders: phase 1
+/// prunes with `coverage`, phase 2 with `repeated_coverage`.  Of `options`
+/// only the DSS flag, the limits, the thread count and the phase-2
+/// switches (`check_repeated`, `reference_repeated`) apply; the product
+/// already carries the static analysis and the artifact-relation choice.
+/// [`crate::baseline::BaselineVerifier`] runs it with
+/// [`CoverageKind::Equality`] in both phases.
+pub(crate) fn run_phases(
+    product: &ProductSystem,
+    coverage: CoverageKind,
+    repeated_coverage: CoverageKind,
     options: VerifierOptions,
     control: &mut SearchControl<'_>,
 ) -> VerificationResult {
@@ -254,12 +223,11 @@ pub fn run_verification(
     control.phase = Some(crate::observer::Phase::Reachability);
     let mut search = KarpMillerSearch::new(
         product,
-        options.coverage(),
+        coverage,
         options.data_structure_support,
         options.limits,
     );
     search.threads = options.search_threads;
-    search.reference_layout = options.reference_layout;
     let outcome = search.run_with(control);
     let stats = search.stats;
     let worker_stats = std::mem::take(&mut search.worker_stats);
@@ -308,14 +276,13 @@ pub fn run_verification(
             let repeated = if options.reference_repeated {
                 crate::repeated::find_infinite_violation_reference(
                     product,
-                    options.repeated_coverage(),
-                    options.data_structure_support,
+                    repeated_coverage,
                     options.limits,
                 )
             } else {
                 find_infinite_violation_with(
                     product,
-                    options.repeated_coverage(),
+                    repeated_coverage,
                     options.data_structure_support,
                     options.limits,
                     options.search_threads,
@@ -398,12 +365,15 @@ fn describe(product: &ProductSystem, services: &[ServiceRef]) -> String {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
+    use crate::report::VerificationReport;
     use verifas_ltl::{Ltl, LtlFoProperty, PropAtom};
     use verifas_model::schema::attr::data;
-    use verifas_model::{Condition, DatabaseSchema, SpecBuilder, TaskBuilder, TaskId, Term};
+    use verifas_model::{
+        Condition, DatabaseSchema, HasSpec, SpecBuilder, TaskBuilder, TaskId, Term,
+    };
 
     /// Root task with a child whose closing requires approval; the root
     /// then archives the result.
@@ -447,6 +417,17 @@ mod tests {
         Condition::eq(Term::var(verifas_model::VarId::new(0)), Term::str(v))
     }
 
+    fn check(
+        spec: &HasSpec,
+        property: &LtlFoProperty,
+        options: VerifierOptions,
+    ) -> VerificationReport {
+        Engine::load_with_options(spec.clone(), options)
+            .unwrap()
+            .check(property)
+            .unwrap()
+    }
+
     #[test]
     fn satisfied_safety_property_on_root_task() {
         // G ¬(decision = "Garbage"): the review child can only return
@@ -464,10 +445,9 @@ mod tests {
             Ltl::globally(Ltl::not(Ltl::prop(0))),
             vec![PropAtom::Condition(decision_is("Garbage"))],
         );
-        let verifier = Verifier::new(&spec, &property, VerifierOptions::default()).unwrap();
-        let result = verifier.verify();
-        assert_eq!(result.outcome, VerificationOutcome::Violated);
-        assert!(result.counterexample.is_some());
+        let report = check(&spec, &property, VerifierOptions::default());
+        assert_eq!(report.outcome, VerificationOutcome::Violated);
+        assert!(report.witness.is_some());
     }
 
     #[test]
@@ -482,12 +462,11 @@ mod tests {
             Ltl::globally(Ltl::not(Ltl::prop(0))),
             vec![PropAtom::Condition(decision_is("Deny"))],
         );
-        let verifier = Verifier::new(&spec, &property, VerifierOptions::default()).unwrap();
-        let result = verifier.verify();
-        assert_eq!(result.outcome, VerificationOutcome::Violated);
-        let cex = result.counterexample.unwrap();
-        assert!(!cex.services.is_empty());
-        assert!(cex.description.contains("Review"));
+        let report = check(&spec, &property, VerifierOptions::default());
+        assert_eq!(report.outcome, VerificationOutcome::Violated);
+        let witness = report.witness.unwrap();
+        assert!(!witness.steps.is_empty());
+        assert!(witness.description.contains("Review"));
     }
 
     #[test]
@@ -509,10 +488,9 @@ mod tests {
                 )),
             ],
         );
-        let verifier = Verifier::new(&spec, &property, VerifierOptions::default()).unwrap();
-        let result = verifier.verify();
-        assert_eq!(result.outcome, VerificationOutcome::Satisfied);
-        assert!(result.counterexample.is_none());
+        let report = check(&spec, &property, VerifierOptions::default());
+        assert_eq!(report.outcome, VerificationOutcome::Satisfied);
+        assert!(report.witness.is_none());
     }
 
     #[test]
@@ -533,8 +511,7 @@ mod tests {
             VerifierOptions::default().without("DSS"),
             VerifierOptions::no_set(),
         ] {
-            let verifier = Verifier::new(&spec, &property, options).unwrap();
-            verdicts.push(verifier.verify().outcome);
+            verdicts.push(check(&spec, &property, options).outcome);
         }
         assert!(verdicts.iter().all(|v| *v == VerificationOutcome::Violated));
     }
@@ -549,8 +526,7 @@ mod tests {
             Ltl::globally(Ltl::prop(0)),
             vec![PropAtom::Condition(Condition::True)],
         );
-        let verifier = Verifier::new(&spec, &property, VerifierOptions::default()).unwrap();
-        let result = verifier.verify();
-        assert!(result.elapsed_ms() >= result.stats.elapsed_ms);
+        let report = check(&spec, &property, VerifierOptions::default());
+        assert!(report.elapsed_ms() >= report.stats.elapsed_ms);
     }
 }

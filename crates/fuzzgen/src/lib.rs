@@ -1,8 +1,9 @@
 //! # verifas-fuzzgen — seeded spec generation + differential oracles
 //!
 //! The trust story of the optimised verifier rests on the reference
-//! implementations the codebase deliberately retains: the pre-arena
-//! state layout, the O(active²) repeated-reachability oracle, the
+//! implementations the codebase deliberately retains: the linear
+//! candidate scans of the no-DSS ablation, the O(active²)
+//! repeated-reachability oracle, the
 //! sequential search, the cold (non-incremental) load, the direct
 //! in-process `check_all`.  This crate turns those retained oracles
 //! into an automated differential harness:
@@ -14,7 +15,7 @@
 //! * [`oracle`] — the matrix: every generated spec runs through each
 //!   retained oracle arm and must agree bit for bit with the plain
 //!   engine on verdicts, witnesses and deterministic statistics,
-//! * [`shrink`] — a greedy structural shrinker that minimizes any
+//! * [`shrink`](mod@shrink) — a greedy structural shrinker that minimizes any
 //!   divergence to a small `.has` repro a human can read,
 //! * [`sweep`] — the seed-range driver behind `verifas fuzz` and the CI
 //!   `fuzz-smoke` job.

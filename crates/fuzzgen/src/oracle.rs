@@ -1,15 +1,15 @@
 //! The differential oracle matrix.
 //!
 //! Every generated spec runs once through the plain engine (one thread,
-//! index on, arena layout, indexed repeated-reachability, cold load,
-//! direct `check_all`) — the *baseline* — and then once per enabled
+//! DSS on, filtered repeated-reachability, cold load, direct
+//! `check_all`) — the *baseline* — and then once per enabled
 //! [`OracleArm`].  Each arm answers the same question a different way
 //! the codebase deliberately retains:
 //!
 //! * [`OracleArm::Threads`] — four search worker threads,
-//! * [`OracleArm::IndexOff`] — candidate index disabled,
-//! * [`OracleArm::ReferenceLayout`] — the retained pre-arena linear-scan
-//!   state storage,
+//! * [`OracleArm::IndexOff`] — data-structure support off: linear
+//!   candidate scans in both phases instead of discrete groups and the
+//!   signature filter,
 //! * [`OracleArm::ReferenceRepeated`] — the retained O(active²)
 //!   repeated-reachability oracle (verdict/witness compare only: the
 //!   reference emits no cycle statistics),
@@ -22,7 +22,7 @@
 //!
 //! All comparisons are exact on the report's deterministic core:
 //! verdict, witness, search statistics, repeated-reachability statistics
-//! (timing, thread-count and index-telemetry fields zeroed, exactly as
+//! (timing, thread-count and candidate-count fields zeroed, exactly as
 //! the parallel-determinism suite does).
 
 use crate::gen::gen_spec_file;
@@ -40,11 +40,9 @@ use verifas_spec::{compile, format_spec};
 pub enum OracleArm {
     /// Four search worker threads vs one.
     Threads,
-    /// Candidate index (DSS) off vs on.
+    /// Data-structure support off (linear candidate scans) vs on.
     IndexOff,
-    /// Retained pre-arena state layout vs the arena-backed one.
-    ReferenceLayout,
-    /// Retained reference repeated-reachability vs the indexed one.
+    /// Retained reference repeated-reachability vs the filtered one.
     ReferenceRepeated,
     /// `Engine::load_delta` in [`ReuseMode::Preproc`] vs a cold load.
     IncrementalPreproc,
@@ -56,10 +54,9 @@ pub enum OracleArm {
 
 impl OracleArm {
     /// Every arm, in the order the matrix runs them.
-    pub const ALL: [OracleArm; 7] = [
+    pub const ALL: [OracleArm; 6] = [
         OracleArm::Threads,
         OracleArm::IndexOff,
-        OracleArm::ReferenceLayout,
         OracleArm::ReferenceRepeated,
         OracleArm::IncrementalPreproc,
         OracleArm::IncrementalReplay,
@@ -71,7 +68,6 @@ impl OracleArm {
         match self {
             OracleArm::Threads => "threads",
             OracleArm::IndexOff => "index",
-            OracleArm::ReferenceLayout => "layout",
             OracleArm::ReferenceRepeated => "repeated",
             OracleArm::IncrementalPreproc => "preproc",
             OracleArm::IncrementalReplay => "replay",
@@ -161,9 +157,8 @@ fn comparable(report: &VerificationReport, strict: Strictness) -> ComparableRepo
         cycle.scc_micros = 0;
         cycle.threads = 0;
         // `candidates` measures the filter itself, so it legitimately
-        // differs between index on and off.
+        // differs between DSS on and off.
         cycle.candidates = 0;
-        cycle.used_index = false;
         cycle
     });
     let witness = report.witness.clone().map(|mut witness| {
@@ -376,13 +371,6 @@ fn arm_reports(
         OracleArm::IndexOff => engine_reports(
             VerifierOptions {
                 data_structure_support: false,
-                ..base
-            },
-            source,
-        ),
-        OracleArm::ReferenceLayout => engine_reports(
-            VerifierOptions {
-                reference_layout: true,
                 ..base
             },
             source,

@@ -120,7 +120,7 @@ options:
   --retries N        submit: attempts on `overloaded`/reset (default 5)
   --seeds A..B       fuzz: half-open seed range to sweep (default 0..256)
   --matrix ARMS      fuzz: comma-separated oracle arms (default: all of
-                     threads,index,layout,repeated,preproc,replay,serve)
+                     threads,index,repeated,preproc,replay,serve)
   --shrink           fuzz: minimize each divergence to a small repro
   --repro-dir DIR    fuzz: write each divergence's `.has` repro to DIR";
 

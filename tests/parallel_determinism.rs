@@ -2,7 +2,7 @@
 //! repeated-reachability post-pass: for every workload (real and
 //! synthetic) and every seed, a 4-worker run must return the same verdict,
 //! an identical witness and bit-identical search/cycle statistics as a
-//! sequential run — with the candidate index on or off — and a
+//! sequential run — with data-structure support on or off — and a
 //! cancellation fired mid-search must stop every worker.
 //!
 //! The runs are bounded by `max_states` (deterministic) rather than wall
@@ -30,10 +30,10 @@ fn limits() -> SearchLimits {
     }
 }
 
-fn options(search_threads: usize, use_index: bool) -> VerifierOptions {
+fn options(search_threads: usize, dss: bool) -> VerifierOptions {
     VerifierOptions {
         search_threads,
-        data_structure_support: use_index,
+        data_structure_support: dss,
         limits: limits(),
         ..VerifierOptions::default()
     }
@@ -61,10 +61,9 @@ fn comparable(
         cycle.scc_micros = 0;
         cycle.threads = 0;
         // `candidates` measures the filter itself (how many exact tests
-        // ran after it), so it legitimately differs between index on and
+        // ran after it), so it legitimately differs between DSS on and
         // off; everything else in the block must not.
         cycle.candidates = 0;
-        cycle.used_index = false;
         cycle
     });
     (
@@ -76,35 +75,35 @@ fn comparable(
     )
 }
 
-/// Check one property across 1 vs 4 search threads and candidate index on
-/// vs off on a shared engine (the engine's preprocessing cache serves all
+/// Check one property across 1 vs 4 search threads and DSS on vs off on a
+/// shared engine (the engine's preprocessing cache serves all
 /// seeds of one workload): all four runs must agree bit for bit on the
 /// verdict, the witness and every deterministic statistic — including the
 /// repeated-reachability verdicts, witnesses and edge/SCC stats when the
 /// post-pass runs.
 fn assert_deterministic(engine: &Engine, property: &LtlFoProperty, context: &str) {
-    let run = |threads: usize, use_index: bool| {
+    let run = |threads: usize, dss: bool| {
         engine
             .verification()
             .property(property)
-            .options(options(threads, use_index))
+            .options(options(threads, dss))
             .run()
-            .unwrap_or_else(|e| panic!("run ({threads} threads, index {use_index}): {e}"))
+            .unwrap_or_else(|e| panic!("run ({threads} threads, DSS {dss}): {e}"))
     };
     let baseline = comparable(&run(1, true));
-    for (threads, use_index) in [(4, true), (1, false), (4, false)] {
-        let this = comparable(&run(threads, use_index));
+    for (threads, dss) in [(4, true), (1, false), (4, false)] {
+        let this = comparable(&run(threads, dss));
         assert_eq!(
             baseline.0, this.0,
-            "verdict diverged for {context} ({threads} threads, index {use_index})"
+            "verdict diverged for {context} ({threads} threads, DSS {dss})"
         );
         assert_eq!(
             baseline.1, this.1,
-            "witness diverged for {context} ({threads} threads, index {use_index})"
+            "witness diverged for {context} ({threads} threads, DSS {dss})"
         );
         assert_eq!(
             baseline, this,
-            "stats diverged for {context} ({threads} threads, index {use_index})"
+            "stats diverged for {context} ({threads} threads, DSS {dss})"
         );
     }
 }
@@ -212,7 +211,7 @@ fn cancellation_mid_search_stops_all_workers() {
 /// The cycle-heavy exhausted-search workload runs the whole
 /// repeated-reachability pipeline (large active set, full abstract graph,
 /// SCC pass, infinite-violation witness) and must be deterministic across
-/// thread counts and index settings like everything else — with the
+/// thread counts and DSS settings like everything else — with the
 /// verdict actually coming from the cycle detection.
 #[test]
 fn cycle_heavy_post_pass_is_deterministic() {
@@ -248,7 +247,7 @@ fn cycle_heavy_post_pass_is_deterministic() {
 /// parameter sweep stands in for seeds (the lattice is a closed-form
 /// construction): each pair changes the discrete-group population and the
 /// frontier shape, and every run is capped by a deterministic state
-/// budget, so the 1-vs-4-thread × index-on/off sweep of
+/// budget, so the 1-vs-4-thread × DSS-on/off sweep of
 /// `assert_deterministic` exercises limit-stopped million-state searches
 /// without exhausting one in a debug build.
 #[test]
@@ -265,10 +264,10 @@ fn lattice_scenario_is_deterministic_across_threads_and_index() {
     }
 }
 
-/// At the search layer, the three candidate-discovery paths — per-group
-/// vectors (the arena layout's default), the pre-overhaul reference
-/// linear scans, and the signature index — must produce bit-identical
-/// trees on a capped lattice run, sequentially and with 4 workers.
+/// At the search layer, the two candidate-discovery paths — per-group
+/// vectors (DSS on) and the reference linear scans (DSS off) — must
+/// produce bit-identical trees on a capped lattice run, sequentially and
+/// with 4 workers.
 #[test]
 fn lattice_candidate_paths_are_bit_identical() {
     let spec = open_close_lattice(8, 8);
@@ -278,10 +277,8 @@ fn lattice_candidate_paths_are_bit_identical() {
         max_states: 3_000,
         max_millis: 600_000,
     };
-    let run = |use_index: bool, reference_layout: bool, threads: usize| {
-        let mut search =
-            KarpMillerSearch::new(&product, CoverageKind::Subsumption, use_index, limits);
-        search.reference_layout = reference_layout;
+    let run = |dss: bool, threads: usize| {
+        let mut search = KarpMillerSearch::new(&product, CoverageKind::Subsumption, dss, limits);
         search.threads = threads;
         let outcome = search.run();
         let mut stats = search.stats;
@@ -289,19 +286,12 @@ fn lattice_candidate_paths_are_bit_identical() {
         stats.threads = 0;
         (outcome, search.len(), search.active_nodes(), stats)
     };
-    let baseline = run(false, false, 1);
-    for (use_index, reference_layout, threads) in [
-        (false, false, 4),
-        (false, true, 1),
-        (false, true, 4),
-        (true, false, 1),
-        (true, false, 4),
-    ] {
+    let baseline = run(true, 1);
+    for (dss, threads) in [(true, 4), (false, 1), (false, 4)] {
         assert_eq!(
             baseline,
-            run(use_index, reference_layout, threads),
-            "candidate path diverged (index {use_index}, reference {reference_layout}, \
-             {threads} threads)"
+            run(dss, threads),
+            "candidate path diverged (DSS {dss}, {threads} threads)"
         );
     }
 }
@@ -346,29 +336,30 @@ fn worker_panic_is_a_typed_error_and_leaks_no_state() {
     assert!(clean.stats.states_created > 0);
 }
 
-/// Regression test for the `StateIndex` signature soundness (ROADMAP
-/// niche left by PR 3): on a *counter-heavy* workload — active states
-/// carrying bounded counters of many distinct stored tuple types, i.e.
-/// exactly the stored-type/`≠` pit edges the pit-`=`-only signature must
-/// ignore — the repeated-reachability post-pass must stay bit-identical
-/// with the index on and off (a signature admitting those edges could
-/// filter out true coverers, and index on/off would diverge here first).
+/// Regression test for the soundness of the cycle pass's signature filter:
+/// on a *counter-heavy* workload — active states carrying bounded
+/// counters of many distinct stored tuple types, i.e. exactly the
+/// stored-type/`≠` pit edges the pit-`=`-only signature must ignore — the
+/// repeated-reachability post-pass must stay bit-identical with DSS on
+/// (groups narrowed by the filter) and off (a scan of every active state).
+/// A signature admitting those edges could filter out true coverers, and
+/// DSS on/off would diverge here first.
 #[test]
 fn counter_heavy_post_pass_is_index_invariant() {
     let spec = counter_cycle(6);
     let engine = Engine::load(spec.clone()).expect("counter cycle is valid");
     let property = cycle_grid_liveness(&spec);
-    // The full sweep: 1 vs 4 threads × index on vs off, bit for bit.
+    // The full sweep: 1 vs 4 threads × DSS on vs off, bit for bit.
     assert_deterministic(&engine, &property, "counter-cycle/eventually-goal");
     // And at a budget that exhausts the space, pin the workload shape:
     // the verdict must come from the cycle-detection post-pass over
     // states that really carry stored-type counters (no ω shortcut).
-    let run = |use_index: bool| {
+    let run = |dss: bool| {
         engine
             .verification()
             .property(&property)
             .options(VerifierOptions {
-                data_structure_support: use_index,
+                data_structure_support: dss,
                 limits: SearchLimits {
                     max_states: 10_000,
                     max_millis: 600_000,
@@ -378,24 +369,24 @@ fn counter_heavy_post_pass_is_index_invariant() {
             .run()
             .unwrap()
     };
-    let indexed = run(true);
-    assert_eq!(indexed.outcome, VerificationOutcome::Violated);
-    let witness = indexed.witness.clone().expect("infinite violation");
+    let filtered = run(true);
+    assert_eq!(filtered.outcome, VerificationOutcome::Violated);
+    let witness = filtered.witness.clone().expect("infinite violation");
     assert!(!witness.finite);
-    let repeated = indexed.repeated_stats.expect("the repeated phase ran");
+    let repeated = filtered.repeated_stats.expect("the repeated phase ran");
     assert!(
         repeated.stored_types > 1,
         "the workload must intern distinct stored tuple types"
     );
-    let cycle = indexed.repeated_cycle.expect("the post-pass ran");
+    let cycle = filtered.repeated_cycle.expect("the post-pass ran");
     assert!(cycle.completed);
     assert!(
         cycle.cyclic_states > 0,
         "the verdict comes from the SCC pass"
     );
     assert_eq!(
-        comparable(&indexed),
+        comparable(&filtered),
         comparable(&run(false)),
-        "index on/off diverged on the counter-heavy post-pass"
+        "DSS on/off diverged on the counter-heavy post-pass"
     );
 }
