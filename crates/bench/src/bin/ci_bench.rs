@@ -481,12 +481,12 @@ fn measure_repeated_scenario(
     }
 }
 
-/// The cycle-heavy scenario set: a wide 2D grid where the signature filter
+/// The cycle-heavy scenario set: a wide 2D grid where the signature gate
 /// narrows candidates to almost exactly the true edges (the
 /// speedup-vs-reference showcase), and a high-dimensional torus whose
-/// short value cycles defeat posting-list filtering — the pass falls back
-/// to discrete-group scans there, which is the edge-construction shape
-/// with enough per-source work for parallel workers to show a speedup.
+/// short value cycles fill each discrete group with states the gate
+/// rejects — more candidates per source than the grid, so the shape
+/// where parallel edge workers have the most to share.
 fn measure_repeated(args: &Args, failures: &mut Vec<String>) -> Vec<RepeatedRow> {
     let grid = cycle_grid(if args.quick { 12 } else { 16 });
     let torus = cycle_torus(if args.quick { 5 } else { 6 }, 3);
@@ -1311,8 +1311,8 @@ fn main() {
     }
     // Both repeated gates apply to the best scenario (mirroring the main
     // search's best-speedup gate): each scenario showcases one side of the
-    // optimisation — the filtered grid the single-pass win, the scan-heavy
-    // torus the parallel edge construction.
+    // optimisation — the grid the single-pass win, the denser torus the
+    // parallel edge construction.
     let best_vs_reference = repeated
         .iter()
         .map(|r| r.speedup_vs_reference)

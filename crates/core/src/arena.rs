@@ -329,9 +329,10 @@ impl StateArena {
     /// two deduplicating arenas — never an allocator probe, so a
     /// memory-budgeted run takes the same rounds on every host.
     pub fn estimated_bytes(&self) -> usize {
-        // One SoA row: 4+4+8+4+4+4+4+1 column bytes, the service ref, and
-        // a share of index/group bookkeeping.
-        const ROW_BYTES: usize = 56;
+        // One SoA row: 4+4+8+4+4+4+4+1 column bytes, the service ref, a
+        // share of index/group bookkeeping, and the 32-byte `=`-edge
+        // signature each candidate-group member stores next to its id.
+        const ROW_BYTES: usize = 88;
         // One distinct pit: Vec header + bucket entry.
         const PIT_BASE_BYTES: usize = 64;
         // One packed pit edge plus its share of hash overhead.

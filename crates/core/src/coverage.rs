@@ -37,9 +37,9 @@ fn count_value(c: u32) -> i64 {
 
 /// The discrete components of a state (automaton state, child activation,
 /// closed flag).  Two states are comparable under *any* coverage relation
-/// only when their discrete keys are equal, so both the state index and
-/// the repeated-reachability edge construction partition candidates by
-/// this key before running the exact tests.
+/// only when their discrete keys are equal, so the coverage candidates of
+/// both search phases and of the repeated-reachability edge construction
+/// (`index::Candidates`) are grouped by this key before the exact tests.
 pub fn discrete_key(state: StateView<'_>) -> (usize, u64, bool) {
     (state.buchi, state.child_active, state.closed)
 }

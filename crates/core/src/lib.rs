@@ -13,7 +13,8 @@
 //! * [`coverage`] — the `≤`, `≼` and `≼⁺` comparison relations (the latter
 //!   two via a max-flow reduction),
 //! * [`index`] — data-structure support: coverage candidates grouped by
-//!   discrete key, and the `=`-edge signature filter of the cycle pass,
+//!   discrete key and gated by `=`-edge signatures, in both search phases
+//!   and the cycle pass,
 //! * [`arena`] — arena-backed structure-of-arrays storage for the search
 //!   tree (deduplicated types, counters and dense node columns),
 //! * [`static_analysis`] — the non-violating-edge analysis of Section 3.7,

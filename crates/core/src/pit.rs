@@ -174,6 +174,50 @@ impl Pit {
         builder.merge_pit(other);
         builder.finish()
     }
+
+    /// The type's [`Signature`]: one bit per `=`-edge.
+    pub(crate) fn signature(&self) -> Signature {
+        let mut words = [0u64; 4];
+        for edge in self.edges.iter().filter(|e| !e.is_neq()) {
+            // Fibonacci hashing: the top 8 bits of the product pick the bit.
+            let bit = (edge.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize;
+            words[bit >> 6] |= 1 << (bit & 63);
+        }
+        Signature(words)
+    }
+}
+
+/// A 256-bit summary of a type's `=`-edges: each edge sets the bit a fixed
+/// multiplicative hash picks for it, so when one type's edges include
+/// another's, its signature includes the other's too.
+///
+/// Coverage candidates are gated on it (see `index::Candidates`), so it
+/// covers the largest edge set for which the gate is *sound*: it never
+/// drops a true coverage candidate, which the repeated-reachability cycle
+/// detection depends on (a dropped candidate there would be a missed edge
+/// and possibly a missed violation).
+///
+/// * Every coverage order requires `covering.pit ⊑ covered.pit`, i.e. the
+///   covering type's closed edge set is a subset of the covered one's, so
+///   its `=`-edges, and with them its signature bits, are too.
+/// * `≠`-edges are left out for selectivity, not soundness: a canonically
+///   closed type materialises a `≠`-edge against almost every constant of
+///   the universe, so their bits would fill nearly every signature.
+/// * Stored-type edges (of positive counters) are left out for soundness:
+///   a covering state may hold stored tuples the flow mapping leaves as
+///   slack, whose types — and edges — appear nowhere in the covered state.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Signature([u64; 4]);
+
+impl Signature {
+    /// `true` iff every bit of `self` is set in `other`.
+    pub(crate) fn is_subset_of(&self, other: &Signature) -> bool {
+        self.0
+            .iter()
+            .zip(&other.0)
+            .fold(0, |outside, (mine, theirs)| outside | (mine & !theirs))
+            == 0
+    }
 }
 
 /// Sentinel for "no constant member" / "no navigation child" in the dense
@@ -501,6 +545,8 @@ fn merge_sort(a: ExprSort, b: ExprSort) -> ExprSort {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
     use verifas_model::schema::attr::data;
     use verifas_model::{
@@ -688,6 +734,92 @@ mod tests {
         let renamed = pit.rename(&u, &map).unwrap();
         assert!(renamed.contains(Edge::eq(attr_of(&u, y), c1)));
         assert!(!renamed.contains(Edge::eq(attr_of(&u, x), c1)));
+    }
+
+    /// The type of a seeded `=`/`≠` assertion set, `None` when it is
+    /// inconsistent.  Three in four partners share the first expression's
+    /// domain (or are `null`), so most sets stay consistent long enough
+    /// for congruence to matter.
+    fn random_pit(u: &ExprUniverse, seed: u64) -> Option<Pit> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = u.len();
+        let domain = |id: usize| match u.expr(id as ExprId).sort {
+            ExprSort::Id(rel) => Some(rel),
+            _ => None,
+        };
+        let mut b = PitBuilder::new(u);
+        for _ in 0..rng.gen_range(1..8) {
+            let a = rng.gen_range(0..n);
+            let partner = if rng.gen_range(0..4) == 0 {
+                rng.gen_range(0..n)
+            } else {
+                let partners: Vec<usize> = (0..n)
+                    .filter(|&b| domain(b) == domain(a) || b == u.null_expr() as usize)
+                    .collect();
+                partners[rng.gen_range(0..partners.len())]
+            };
+            let (a, partner) = (a as ExprId, partner as ExprId);
+            if rng.gen_range(0..3) == 0 {
+                b.assert_neq(a, partner);
+            } else {
+                b.assert_eq(a, partner);
+            }
+        }
+        b.finish()
+    }
+
+    /// The signature gate never rejects a true coverage candidate: over
+    /// every pair of seeded random types, `a ⊨ b` (which every coverage
+    /// order requires of a covered `a` and a covering `b`) puts `b`'s
+    /// signature inside `a`'s, and equal types have equal signatures.
+    fn check_signature_gate(name: &str, u: &ExprUniverse) {
+        let typed: Vec<(Pit, Signature)> = (0..400)
+            .filter_map(|seed| random_pit(u, seed))
+            .map(|pit| {
+                let signature = pit.signature();
+                (pit, signature)
+            })
+            .collect();
+        let (mut strict, mut equal) = (0, 0);
+        for (a, a_sig) in &typed {
+            for (b, b_sig) in &typed {
+                if !a.implies(b) {
+                    continue;
+                }
+                assert!(b_sig.is_subset_of(a_sig), "{name}: {a:?} implies {b:?}");
+                if a == b {
+                    equal += 1;
+                    assert_eq!(a_sig, b_sig, "{name}: {a:?}");
+                } else {
+                    strict += 1;
+                }
+            }
+        }
+        // Beyond the pairs of a type with itself, the sample must hold
+        // strict implications and repeated types.
+        assert!(
+            strict > typed.len() && equal > typed.len(),
+            "{name}: weak sample ({} types, {strict} strict implications, {equal} equal pairs)",
+            typed.len()
+        );
+    }
+
+    #[test]
+    fn implied_types_have_subset_signatures_on_example18() {
+        let (_spec, u) = example18();
+        check_signature_gate("example18", &u);
+    }
+
+    #[test]
+    fn implied_types_have_subset_signatures_on_order_fulfillment() {
+        let spec = verifas_workloads::order_fulfillment();
+        let u = ExprUniverse::build(
+            &spec,
+            spec.root(),
+            &[],
+            &crate::transition::spec_constants(&spec),
+        );
+        check_signature_gate("order_fulfillment", &u);
     }
 
     #[test]

@@ -30,8 +30,8 @@ pub type StoredTypeId = u32;
 
 /// Read access to a table of stored-tuple types.  Implemented by the
 /// shared [`StoredTypeInterner`] and by the per-worker [`WorkerInterner`]
-/// overlay, so the coverage tests ([`crate::coverage`]) and the state
-/// index ([`crate::index`]) can resolve ids from either.
+/// overlay, so the coverage tests ([`crate::coverage`]) resolve ids from
+/// either, in a plan worker and in the apply phase alike.
 pub trait TypeTable {
     /// The artifact relation and type of an interned id.
     fn get(&self, id: StoredTypeId) -> &(ArtRelId, Pit);

@@ -35,15 +35,15 @@
 //!    expanded (absent from the log by construction) are enumerated live,
 //!    against a cheap [`WorkerInterner`] scratch overlay — an exhausted
 //!    search, the common case, expands every node.
-//! 2. **Filtered, adaptive coverage candidates.**  With data-structure
+//! 2. **Signature-gated coverage candidates.**  With data-structure
 //!    support, each successor's covering candidates are the active states
 //!    of its discrete group (only states with equal discrete components
-//!    are ever comparable), narrowed by a `SubsetFilter` built once over
-//!    the final (post-prune) active set — as long as the query's posting
-//!    lists are shorter than the group.  Without it every active state is
-//!    a candidate.  Both filters are sound over-approximations of the
-//!    exact `covers` test, so the resulting edge list is identical either
-//!    way.
+//!    are ever comparable) whose `=`-edge signature is a subset of the
+//!    successor's — the same `index::Candidates` the search queries,
+//!    built once over the final (post-prune) active set.  Without it every
+//!    active state is a candidate.  Both are sound over-approximations of
+//!    the exact `covers` test, so the resulting edge list is identical
+//!    either way.
 //! 3. **Parallel edge construction.**  With `threads > 1`, workers claim
 //!    chunks of the active set from a shared cursor and compute candidate
 //!    edges against the frozen search.  Results are keyed by active-set
@@ -67,7 +67,7 @@
 //! `ci_bench` speedup measurement.
 
 use crate::coverage::{covers, discrete_key, CoverageKind};
-use crate::index::{Candidates, SubsetFilter};
+use crate::index::Candidates;
 use crate::observer::{Phase, ProgressEvent, SearchControl};
 use crate::product::{ProductSuccessor, ProductSystem, StateView};
 use crate::psi::{TypeTable, WorkerInterner, OMEGA};
@@ -175,7 +175,7 @@ pub struct RepeatedOutcome {
 /// pass [`CoverageKind::StrictSubsumption`] when the main search used the
 /// ≼ pruning (Appendix C), [`CoverageKind::Standard`] when it used the
 /// classic order, and [`CoverageKind::Equality`] for the baseline verifier.
-/// `data_structure_support` selects grouped, signature-filtered coverage
+/// `data_structure_support` selects grouped, signature-gated coverage
 /// candidates over linear scans (the no-DSS ablation); the answer is the
 /// same either way.
 pub fn find_infinite_violation(
@@ -260,7 +260,7 @@ pub fn find_infinite_violation_with(
         };
     }
     // Rule (b): cycle detection over the abstract transition graph of the
-    // active states — filtered candidates, parallel edge construction, one
+    // active states — gated candidates, parallel edge construction, one
     // SCC pass.
     let workers = stats.threads.max(1);
     let mut successors = std::mem::take(&mut search.successor_log);
@@ -394,14 +394,13 @@ fn build_abstract_edges(
         completed: true,
         ..CycleStats::default()
     };
-    // Candidate targets are active-set positions: the discrete groups (or
-    // every position without DSS), narrowed by the signature filter.
+    // Candidate targets are active-set positions: the gated discrete
+    // groups, or every position without DSS.
     let mut candidates = Candidates::new(data_structure_support);
     for (ai, &i) in active.iter().enumerate() {
-        candidates.insert(discrete_key(search.state_view(i)), ai as u32);
+        let state = search.state_view(i);
+        candidates.insert(discrete_key(state), ai as u32, state.pit.signature());
     }
-    let filter = data_structure_support
-        .then(|| SubsetFilter::new(active.iter().map(|&i| search.state_view(i))));
     // The logged successors of each active source, as a range into the
     // (parent-sorted) log.
     let ranges: Vec<&[LoggedSuccessor]> = active
@@ -469,7 +468,6 @@ fn build_abstract_edges(
                     product,
                     coverage,
                     &candidates,
-                    filter.as_ref(),
                     active,
                     pos,
                     ranges[pos],
@@ -498,7 +496,6 @@ fn build_abstract_edges(
                         let cursor = &cursor;
                         let stopped = &stopped;
                         let candidates = &candidates;
-                        let filter = filter.as_ref();
                         let ranges = &ranges;
                         let window = window.clone();
                         let control: &SearchControl<'_> = control;
@@ -526,7 +523,6 @@ fn build_abstract_edges(
                                         product,
                                         coverage,
                                         candidates,
-                                        filter,
                                         active,
                                         pos,
                                         ranges[pos],
@@ -618,7 +614,6 @@ fn source_edges(
     product: &ProductSystem,
     coverage: CoverageKind,
     candidates: &Candidates,
-    filter: Option<&SubsetFilter>,
     active: &[usize],
     position: usize,
     successors: &[LoggedSuccessor],
@@ -641,7 +636,6 @@ fn source_edges(
                 search,
                 coverage,
                 candidates,
-                filter,
                 active,
                 entry.service,
                 search.logged_view(entry),
@@ -660,7 +654,6 @@ fn source_edges(
                 search,
                 coverage,
                 candidates,
-                filter,
                 active,
                 succ.service,
                 succ.state.view(),
@@ -681,7 +674,6 @@ fn edges_for_successor(
     search: &KarpMillerSearch<'_>,
     coverage: CoverageKind,
     candidates: &Candidates,
-    filter: Option<&SubsetFilter>,
     active: &[usize],
     service: ServiceRef,
     succ: StateView<'_>,
@@ -689,11 +681,7 @@ fn edges_for_successor(
     out: &mut Vec<AbstractEdge>,
     counts: &mut CycleStats,
 ) {
-    let mut targets = candidates.ids(discrete_key(succ), 0);
-    if let Some(filter) = filter {
-        targets = filter.narrow(succ, targets);
-    }
-    for aj in targets {
+    for aj in candidates.covering(discrete_key(succ), succ.pit.signature(), 0) {
         let aj = aj as usize;
         if out.iter().any(|&(t, _)| t == aj) {
             // Already witnessed by an earlier successor; the edge and its
@@ -926,8 +914,8 @@ pub fn find_infinite_violation_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::Ids;
     use crate::observer::CancelToken;
+    use crate::pit::Signature;
     use verifas_ltl::{Ltl, LtlFoProperty, PropAtom};
     use verifas_model::schema::attr::data;
     use verifas_model::{
@@ -971,8 +959,8 @@ mod tests {
     }
 
     /// Two variables: `pair` sets both to "A" (three `=`-edges once
-    /// closed, so queries on such states outgrow their group), `left` sets
-    /// only `x` (one edge), `reset` clears both.
+    /// closed), `left` sets only `x` (one edge), `reset` clears both, so
+    /// one discrete group holds states of different signatures.
     fn pair_spec() -> HasSpec {
         let mut db = DatabaseSchema::new();
         db.add_relation("R", vec![data("a")]).unwrap();
@@ -1312,10 +1300,10 @@ mod tests {
             .all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
     }
 
-    /// For every logged successor, the group narrowed by the signature
-    /// filter, the bare group and the scan of every active position give
-    /// `edges_for_successor` the same edges — over queries that the filter
-    /// narrows and queries that fall back to the group alike.
+    /// For every logged successor, the signature-gated group, the bare
+    /// group and the scan of every active position give
+    /// `edges_for_successor` the same edges, and the gate skips members
+    /// the bare group would have tested.
     #[test]
     fn filtered_grouped_and_scanned_candidates_give_the_same_edges() {
         let spec = pair_spec();
@@ -1332,44 +1320,44 @@ mod tests {
         search.record_successors = true;
         assert_eq!(search.run(), SearchOutcome::Exhausted);
         let active = search.active_nodes();
-        let (mut grouped, mut scan) = (Candidates::new(true), Candidates::new(false));
+        let mut gated = Candidates::new(true);
+        let (mut bare, mut scan) = (Candidates::new(true), Candidates::new(false));
         for (ai, &i) in active.iter().enumerate() {
-            let key = discrete_key(search.state_view(i));
-            grouped.insert(key, ai as u32);
-            scan.insert(key, ai as u32);
+            let state = search.state_view(i);
+            let key = discrete_key(state);
+            gated.insert(key, ai as u32, state.pit.signature());
+            // The empty signature is a subset of every query's, so it
+            // passes every `covering` gate.
+            bare.insert(key, ai as u32, Signature::default());
+            scan.insert(key, ai as u32, Signature::default());
         }
-        let filter = SubsetFilter::new(active.iter().map(|&i| search.state_view(i)));
-        let (mut narrowed, mut fell_back, mut witnessed) = (0, 0, 0);
+        let (mut rejected, mut witnessed) = (0, 0);
         for entry in &search.successor_log {
             let succ = search.logged_view(entry);
-            let edges = |candidates: &Candidates, filter: Option<&SubsetFilter>| {
-                let mut out = Vec::new();
+            let edges = |candidates: &Candidates| {
+                let (mut out, mut counts) = (Vec::new(), CycleStats::default());
                 edges_for_successor(
                     &search,
                     coverage,
                     candidates,
-                    filter,
                     &active,
                     entry.service,
                     succ,
                     &search.interner,
                     &mut out,
-                    &mut CycleStats::default(),
+                    &mut counts,
                 );
-                out
+                (out, counts.candidates)
             };
-            let filtered = edges(&grouped, Some(&filter));
-            assert_eq!(filtered, edges(&grouped, None));
-            assert_eq!(filtered, edges(&scan, None));
+            let (filtered, tested) = edges(&gated);
+            let (grouped, group) = edges(&bare);
+            assert_eq!(filtered, grouped);
+            assert_eq!(filtered, edges(&scan).0);
             witnessed += filtered.len();
-            match filter.narrow(succ, grouped.ids(discrete_key(succ), 0)) {
-                Ids::Filtered(_) => narrowed += 1,
-                _ => fell_back += 1,
-            }
+            rejected += group - tested;
         }
         assert!(witnessed > 0, "no successor was covered at all");
-        assert!(narrowed > 0, "no query was narrowed by the filter");
-        assert!(fell_back > 0, "no query fell back to its group");
+        assert!(rejected > 0, "the gate never rejected a group member");
     }
 
     /// The edge construction and SCC statistics are identical across

@@ -24,7 +24,9 @@
 //!   state, child mask, closed)` key) — since every coverage relation
 //!   requires equal discrete keys, scanning the group in id order visits
 //!   exactly the states a full linear scan would have accepted, in the
-//!   same order;
+//!   same order.  Each member carries the signature of its type's
+//!   `=`-edges, and a lookup skips the members whose signature rules out
+//!   the coverage it asks about before running the exact test;
 //! * without it, the full linear scan over the node table — the paper's
 //!   no-DSS ablation, and the differential oracle and benchmark
 //!   denominator of the grouped path.
@@ -67,9 +69,9 @@
 
 use crate::arena::StateArena;
 use crate::coverage::{accelerate, covers, discrete_key, CoverageKind};
-use crate::index::{Candidates, Ids};
+use crate::index::Candidates;
 use crate::observer::{ProgressEvent, SearchControl};
-use crate::pit::Pit;
+use crate::pit::{Pit, Signature};
 use crate::product::{ProductState, ProductSystem, StateView};
 use crate::psi::{
     is_provisional, provisional_parts, CounterVec, StoredTypeId, StoredTypeInterner, TypeTable,
@@ -198,6 +200,9 @@ struct SuccessorPlan {
     /// The successor state with the speculative acceleration applied
     /// (counters may hold provisional type ids).
     state: ProductState,
+    /// The signature of the successor's type, which the acceleration
+    /// leaves alone.
+    signature: Signature,
     /// The successor's counters *before* acceleration, kept so the
     /// acceleration can be replayed against the live tree when the
     /// speculation is invalidated.
@@ -761,18 +766,20 @@ impl<'a> KarpMillerSearch<'a> {
                 ancestor = self.arena.parent(a);
             }
             let finite_violation = succ.finite_violation;
+            let signature = state.psi.pit.signature();
             let (covered_by, prunes) = if finite_violation {
                 (None, Vec::new())
             } else {
                 (
-                    self.snapshot_covered_by(&state, &*interner),
-                    self.snapshot_prunes(&state, &*interner),
+                    self.snapshot_covered_by(&state, signature, &*interner),
+                    self.snapshot_prunes(&state, signature, &*interner),
                 )
             };
             succs.push(SuccessorPlan {
                 service: succ.service,
                 finite_violation,
                 state,
+                signature,
                 raw_counters,
                 accelerations,
                 covered_by,
@@ -790,25 +797,33 @@ impl<'a> KarpMillerSearch<'a> {
         }
     }
 
-    /// Candidate ids ≥ `from` that may relate to `state` by coverage,
-    /// ascending.  The scan also yields inactive ids, so every caller
-    /// checks liveness.
-    fn candidates_of(&self, state: StateView<'_>, from: u32) -> Ids<'_> {
-        self.candidates.ids(discrete_key(state), from)
-    }
-
-    /// First snapshot-active node covering the candidate state, if any.
-    fn snapshot_covered_by(&self, state: &ProductState, interner: &dyn TypeTable) -> Option<u32> {
+    /// First snapshot-active node covering the candidate state (whose
+    /// type has `signature`), if any.  Like every lookup below, it checks
+    /// liveness itself: the scan also yields inactive ids.
+    fn snapshot_covered_by(
+        &self,
+        state: &ProductState,
+        signature: Signature,
+        interner: &dyn TypeTable,
+    ) -> Option<u32> {
         let view = state.view();
-        self.candidates_of(view, 0).find(|&j| {
-            self.arena.is_active(j) && covers(self.coverage, view, self.arena.view(j), interner)
-        })
+        self.candidates
+            .covering(discrete_key(view), signature, 0)
+            .find(|&j| {
+                self.arena.is_active(j) && covers(self.coverage, view, self.arena.view(j), interner)
+            })
     }
 
     /// All snapshot-active nodes covered by the candidate state.
-    fn snapshot_prunes(&self, state: &ProductState, interner: &dyn TypeTable) -> Vec<u32> {
+    fn snapshot_prunes(
+        &self,
+        state: &ProductState,
+        signature: Signature,
+        interner: &dyn TypeTable,
+    ) -> Vec<u32> {
         let view = state.view();
-        self.candidates_of(view, 0)
+        self.candidates
+            .covered(discrete_key(view), signature, 0)
             .filter(|&j| {
                 self.arena.is_active(j) && covers(self.coverage, self.arena.view(j), view, interner)
             })
@@ -901,16 +916,17 @@ impl<'a> KarpMillerSearch<'a> {
                 let vid = self.add_node(&state, Some(id), succ.service);
                 return Some(vid);
             }
+            let signature = succ.signature;
             // Skip if an active state already covers the new one.  The
             // speculative answer is reused when it still holds; states
             // added earlier in this round are always re-checked live.
             let covered = if !speculation_valid {
-                self.covered_live(&state, 0)
+                self.covered_live(&state, signature, 0)
             } else {
                 match succ.covered_by {
                     Some(j) if !apply.deactivated.contains(j) => true,
-                    Some(_) => self.covered_live(&state, 0),
-                    None => self.covered_live(&state, round_base),
+                    Some(_) => self.covered_live(&state, signature, 0),
+                    None => self.covered_live(&state, signature, round_base),
                 }
             };
             if covered {
@@ -928,11 +944,11 @@ impl<'a> KarpMillerSearch<'a> {
                     .filter(|&j| self.arena.is_active(j) && !apply.ancestors.contains(j))
                     .collect()
             } else {
-                self.live_prunes(&state, &apply.ancestors, 0)
+                self.live_prunes(&state, signature, &apply.ancestors, 0)
             };
             if speculation_valid {
                 // States added this round were invisible to the plan.
-                to_prune.extend(self.live_prunes(&state, &apply.ancestors, round_base));
+                to_prune.extend(self.live_prunes(&state, signature, &apply.ancestors, round_base));
             }
             for j in to_prune {
                 self.deactivate_subtree(j, &apply.ancestors, &mut apply.deactivated);
@@ -945,7 +961,9 @@ impl<'a> KarpMillerSearch<'a> {
 
     fn add_node(&mut self, state: &ProductState, parent: Option<u32>, service: ServiceRef) -> u32 {
         let id = self.arena.push(state, parent, service);
-        self.candidates.insert(self.arena.discrete_key(id), id);
+        let signature = state.psi.pit.signature();
+        self.candidates
+            .insert(self.arena.discrete_key(id), id, signature);
         self.stats.states_created += 1;
         id
     }
@@ -953,19 +971,28 @@ impl<'a> KarpMillerSearch<'a> {
     /// Is the candidate covered by an active node with id ≥ `from` on the
     /// live tree?  (`from` is 0 for the whole tree, or the round's first
     /// id for the states added this round.)
-    fn covered_live(&self, state: &ProductState, from: u32) -> bool {
+    fn covered_live(&self, state: &ProductState, signature: Signature, from: u32) -> bool {
         let view = state.view();
-        self.candidates_of(view, from).any(|j| {
-            self.arena.is_active(j)
-                && covers(self.coverage, view, self.arena.view(j), &self.interner)
-        })
+        self.candidates
+            .covering(discrete_key(view), signature, from)
+            .any(|j| {
+                self.arena.is_active(j)
+                    && covers(self.coverage, view, self.arena.view(j), &self.interner)
+            })
     }
 
     /// Active, non-ancestor nodes with id ≥ `from` covered by `state` on
     /// the live tree.
-    fn live_prunes(&self, state: &ProductState, ancestors: &EpochMarks, from: u32) -> Vec<u32> {
+    fn live_prunes(
+        &self,
+        state: &ProductState,
+        signature: Signature,
+        ancestors: &EpochMarks,
+        from: u32,
+    ) -> Vec<u32> {
         let view = state.view();
-        self.candidates_of(view, from)
+        self.candidates
+            .covered(discrete_key(view), signature, from)
             .filter(|&j| {
                 self.arena.is_active(j)
                     && !ancestors.contains(j)

@@ -8,8 +8,8 @@
 //!
 //! * [`OracleArm::Threads`] — four search worker threads,
 //! * [`OracleArm::IndexOff`] — data-structure support off: linear
-//!   candidate scans in both phases instead of discrete groups and the
-//!   signature filter,
+//!   candidate scans in both phases and the cycle pass instead of
+//!   signature-gated discrete groups,
 //! * [`OracleArm::ReferenceRepeated`] — the retained O(active²)
 //!   repeated-reachability oracle (verdict/witness compare only: the
 //!   reference emits no cycle statistics),

@@ -14,8 +14,9 @@
 //! abstract transition graph over those active states, which is exactly
 //! the regime where the unfiltered O(active²) edge construction
 //! dominated the whole verification.  `ci_bench` uses the
-//! two-dimensional [`cycle_grid`] (wide value cycles keep the signature
-//! posting lists short, so the signature filter shines).
+//! two-dimensional [`cycle_grid`] (wide value cycles give the states of a
+//! discrete group distinct `=`-edges, so the signature gate leaves
+//! almost exactly the true edges to test).
 
 use verifas_ltl::{Ltl, LtlFoProperty, PropAtom};
 use verifas_model::schema::attr::data;
@@ -91,15 +92,15 @@ pub fn cycle_grid(k: usize) -> HasSpec {
 /// the abstract transition graph.
 ///
 /// This is the regime the repository's repeated-reachability regression
-/// suite uses to pin the soundness of the cycle pass's signature filter
-/// (pit-`=`-edges only): stored-type and `≠` pit edges are exactly what
-/// the signature must *not* include (they could filter out true
-/// coverers), and a workload without stored types cannot catch that
-/// class of bug.  Verifying the never-reached liveness goal of
-/// [`cycle_grid_liveness`] against this spec drives the full
-/// cycle-detection post-pass over those counter-carrying states, and the
-/// result must be bit-identical with data-structure support on (groups
-/// narrowed by the filter) or off (a scan of every active state).
+/// suite uses to pin the soundness of the signature gate (pit `=`-edges
+/// only): stored-type edges are exactly what the signature must *not*
+/// include (they could gate out true coverers), and a workload without
+/// stored types cannot catch that class of bug.  Verifying the
+/// never-reached liveness goal of [`cycle_grid_liveness`] against this
+/// spec drives the full cycle-detection post-pass over those
+/// counter-carrying states, and the result must be bit-identical with
+/// data-structure support on (signature-gated groups) or off (a scan of
+/// every active state).
 pub fn counter_cycle(k: usize) -> HasSpec {
     assert!(k >= 2, "a cycle needs at least two values");
     let mut db = DatabaseSchema::new();

@@ -10,7 +10,7 @@
 
 use verifas::prelude::*;
 use verifas::workloads::{
-    counter_cycle, cycle_grid, cycle_grid_liveness, generate, generate_properties,
+    counter_cycle, cycle_grid, cycle_grid_liveness, cycle_torus, generate, generate_properties,
     lattice_false_property, lattice_liveness, open_close_lattice, real_workflows, SyntheticParams,
 };
 use verifas_core::{CoverageKind, KarpMillerSearch, ProductSystem};
@@ -242,6 +242,33 @@ fn cycle_heavy_post_pass_is_deterministic() {
     assert!(cycle.cyclic_states > 0);
 }
 
+/// A torus whose discrete groups hold many states with distinct `=`-edge
+/// signatures, so the signature gate rejects almost every group member:
+/// where a gate that skipped a true coverer would first make DSS on and
+/// off diverge.  Runs the 1-vs-4-thread × DSS-on/off sweep, then pins that
+/// the gate really does the rejecting.
+#[test]
+fn gated_torus_post_pass_is_deterministic() {
+    let spec = cycle_torus(4, 3);
+    let engine = Engine::load(spec.clone()).expect("cycle torus is valid");
+    let property = cycle_grid_liveness(&spec);
+    assert_deterministic(&engine, &property, "cycle-torus-4x3/eventually-goal");
+    let candidates = |dss: bool| {
+        let report = engine
+            .verification()
+            .property(&property)
+            .options(options(1, dss))
+            .run()
+            .unwrap();
+        report.repeated_cycle.expect("the post-pass ran").candidates
+    };
+    let (gated, scanned) = (candidates(true), candidates(false));
+    assert!(
+        gated * 10 < scanned,
+        "the gate left {gated} of {scanned} exact tests"
+    );
+}
+
 /// The million-state open/close lattice — the workload the arena state
 /// layout exists for — must be deterministic like everything else.  The
 /// parameter sweep stands in for seeds (the lattice is a closed-form
@@ -336,14 +363,14 @@ fn worker_panic_is_a_typed_error_and_leaks_no_state() {
     assert!(clean.stats.states_created > 0);
 }
 
-/// Regression test for the soundness of the cycle pass's signature filter:
-/// on a *counter-heavy* workload — active states carrying bounded
-/// counters of many distinct stored tuple types, i.e. exactly the
-/// stored-type/`≠` pit edges the pit-`=`-only signature must ignore — the
+/// Regression test for the soundness of the signature gate: on a
+/// *counter-heavy* workload — active states carrying bounded counters of
+/// many distinct stored tuple types, i.e. exactly the stored-type edges
+/// the signature of a state's own `=`-edges must leave out — the
 /// repeated-reachability post-pass must stay bit-identical with DSS on
-/// (groups narrowed by the filter) and off (a scan of every active state).
-/// A signature admitting those edges could filter out true coverers, and
-/// DSS on/off would diverge here first.
+/// (signature-gated groups) and off (a scan of every active state).  A
+/// signature covering stored-type edges could skip true coverers, and DSS
+/// on/off would diverge here first.
 #[test]
 fn counter_heavy_post_pass_is_index_invariant() {
     let spec = counter_cycle(6);
