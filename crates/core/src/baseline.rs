@@ -59,6 +59,7 @@ impl BaselineVerifier {
             CoverageKind::Equality,
             CoverageKind::Equality,
             options,
+            false,
             &mut SearchControl::default(),
         )
     }

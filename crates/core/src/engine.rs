@@ -58,7 +58,7 @@ use crate::search::SearchLimits;
 use crate::static_analysis::ConstraintGraph;
 use crate::transition::{spec_constants, SymbolicTask};
 use crate::verifier::VerificationOutcome;
-use crate::verifier::{run_verification, VerifierOptions};
+use crate::verifier::{run_phases, VerifierOptions};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -315,7 +315,26 @@ impl Engine {
 
     /// Verify one property with the engine's default options.
     pub fn check(&self, property: &LtlFoProperty) -> Result<VerificationReport, VerifasError> {
-        self.run_request(property, self.options, &mut SearchControl::default())
+        self.run_request(property, self.options, false, &mut SearchControl::default())
+    }
+
+    /// [`Engine::check`] with phase 2 run by the retained O(active²)
+    /// oracle ([`crate::repeated::find_infinite_violation_reference`])
+    /// instead of the filtered pass — the fuzz harness's `repeated` arm.
+    /// Its reports carry no cycle statistics.  The report cache is neither
+    /// read nor written, so a reference report never answers a later
+    /// request or travels through [`Engine::load_delta`].  Like one
+    /// property of a batch, it returns a panic as a typed error, so the
+    /// arm fails the way the `check_all` baseline it is compared with
+    /// does.
+    #[doc(hidden)]
+    pub fn check_with_reference_phase2(
+        &self,
+        property: &LtlFoProperty,
+    ) -> Result<VerificationReport, VerifasError> {
+        contain_panic(|| {
+            self.run_request(property, self.options, true, &mut SearchControl::default())
+        })
     }
 
     /// Start building one verification request.
@@ -426,16 +445,20 @@ impl Engine {
         prep
     }
 
-    /// Run one request against the shared preprocessing.
+    /// Run one request against the shared preprocessing.  A
+    /// `reference_phase2` request (see
+    /// [`Engine::check_with_reference_phase2`]) bypasses the report cache.
     fn run_request(
         &self,
         property: &LtlFoProperty,
         options: VerifierOptions,
+        reference_phase2: bool,
         control: &mut SearchControl<'_>,
     ) -> Result<VerificationReport, VerifasError> {
         property.validate(&self.spec)?;
         let key = ReportKey::new(property, &options);
-        if self.reuse != ReuseMode::Cold {
+        let cached = !reference_phase2;
+        if cached && self.reuse != ReuseMode::Cold {
             if let Some(report) = lock_ignoring_poison(&self.reports).get(&key) {
                 use std::sync::atomic::Ordering;
                 crate::counters::REPORTS_REUSED.fetch_add(1, Ordering::Relaxed);
@@ -460,7 +483,14 @@ impl Engine {
             let fp = static_removed_fingerprint(&product.task.static_removed);
             product.set_memo(prep.memo.scope(fp));
         }
-        let mut result = run_verification(&product, options, control);
+        let mut result = run_phases(
+            &product,
+            options.coverage(),
+            options.repeated_coverage(),
+            options,
+            reference_phase2,
+            control,
+        );
         // A memory-budgeted run that tripped its lease degrades to a
         // typed error instead of a (limit-shaped) report: the verdict
         // would be Inconclusive anyway, and the caller needs to
@@ -499,7 +529,7 @@ impl Engine {
         // across sessions through `load_delta`) — but only definite,
         // uncancelled verdicts: a cancelled or inconclusive run depends on
         // wall-clock limits and must not answer a future request.
-        if !report.cancelled && report.outcome != VerificationOutcome::Inconclusive {
+        if cached && !report.cancelled && report.outcome != VerificationOutcome::Inconclusive {
             let mut reports = lock_ignoring_poison(&self.reports);
             if reports.len() >= REPORT_CACHE_CAPACITY {
                 reports.clear();
@@ -520,6 +550,21 @@ fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 use crate::error::panic_message;
+
+/// Run one verification request, returning a panic inside it as a typed
+/// [`VerifasError::Internal`] — how a batch isolates each property.
+fn contain_panic(
+    run: impl FnOnce() -> Result<VerificationReport, VerifasError>,
+) -> Result<VerificationReport, VerifasError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|panic| {
+        Err(VerifasError::Internal {
+            reason: format!(
+                "verification worker panicked: {}",
+                panic_message(panic.as_ref())
+            ),
+        })
+    })
+}
 
 /// Builder for one verification request (see [`Engine::verification`]).
 pub struct VerificationBuilder<'e, 'o> {
@@ -616,7 +661,7 @@ impl<'e, 'o> VerificationBuilder<'e, 'o> {
             ..SearchControl::default()
         };
         self.engine
-            .run_request(&property, self.options, &mut control)
+            .run_request(&property, self.options, false, &mut control)
     }
 }
 
@@ -799,7 +844,7 @@ impl<'e, 'f> BatchBuilder<'e, 'f> {
             // A panic in one verification must neither poison the whole
             // batch nor abort the process: it becomes a typed per-property
             // error.
-            let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let report = contain_panic(|| {
                 let mut forward = self
                     .on_event
                     .map(|sink| move |event: &ProgressEvent| sink(index, event));
@@ -811,15 +856,7 @@ impl<'e, 'f> BatchBuilder<'e, 'f> {
                     memory: self.memory.as_ref().map(crate::memory::MemoryBudget::lease),
                     ..SearchControl::default()
                 };
-                engine.run_request(property, options, &mut control)
-            }))
-            .unwrap_or_else(|panic| {
-                Err(VerifasError::Internal {
-                    reason: format!(
-                        "verification worker panicked: {}",
-                        panic_message(panic.as_ref())
-                    ),
-                })
+                engine.run_request(property, options, false, &mut control)
             });
             if let Some(callback) = &on_result {
                 handle.retire();
@@ -1181,6 +1218,28 @@ mod tests {
         assert_eq!(warm_report, cold);
         // No new preprocessing appeared to answer it.
         assert_eq!(warm.cached_preprocessings(), 1);
+    }
+
+    /// The reference-phase-2 entry bypasses the report cache both ways:
+    /// it records nothing, and a report the filtered pass cached never
+    /// answers it.
+    #[test]
+    fn reference_phase2_bypasses_the_report_cache() {
+        let spec = flow_spec();
+        let options = VerifierOptions::default();
+        let engine = Engine::load_with_reuse(spec.clone(), options, ReuseMode::Preproc).unwrap();
+        let property = never("never-broken", &spec, "Broken");
+        let reference = engine.check_with_reference_phase2(&property).unwrap();
+        assert_eq!(reference.outcome, VerificationOutcome::Satisfied);
+        // The reference oracle reports no cycle statistics.
+        assert!(reference.repeated_stats.is_some() && reference.repeated_cycle.is_none());
+        assert_eq!(engine.cached_reports(), 0);
+        let filtered = engine.check(&property).unwrap();
+        assert!(filtered.repeated_cycle.is_some());
+        assert_eq!(engine.cached_reports(), 1);
+        let again = engine.check_with_reference_phase2(&property).unwrap();
+        assert!(again.repeated_cycle.is_none(), "answered from the cache");
+        assert_eq!(engine.cached_reports(), 1);
     }
 
     #[test]

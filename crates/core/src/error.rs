@@ -129,9 +129,10 @@ impl fmt::Display for VerifasError {
 /// Best-effort rendering of a panic payload (the common `&str` / `String`
 /// cases; anything else is reported opaquely).  Shared by every
 /// panic-containment site — the batch scheduler's per-property
-/// `catch_unwind` and the worker-pool join paths of the search and the
-/// repeated-reachability edge construction — so the `reason` strings of
-/// the resulting [`VerifasError::Internal`] errors stay uniform.
+/// `catch_unwind` and the ordered worker pool that runs the search's plan
+/// rounds and the repeated-reachability edge waves (inline or threaded)
+/// — so the `reason` strings of the resulting [`VerifasError::Internal`]
+/// errors stay uniform.
 pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_owned()

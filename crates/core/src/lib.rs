@@ -31,9 +31,10 @@
 //! * [`delta`] — structural spec diffing and the transition memo behind
 //!   incremental re-verification ([`engine::Engine::load_delta`]),
 //! * [`baseline`] — the unoptimised baseline standing in for the Spin-based
-//!   verifier of the paper,
-//! * [`vass`] — a small generic VASS + classic Karp–Miller implementation
-//!   used for testing and benchmarking the search machinery in isolation.
+//!   verifier of the paper.
+//!
+//! A crate-private ordered worker pool (`pool`) runs both parallel steps:
+//! the search's plan rounds and the cycle pass's edge waves.
 
 pub mod arena;
 pub mod baseline;
@@ -49,6 +50,7 @@ pub mod json;
 pub mod memory;
 pub mod observer;
 pub mod pit;
+mod pool;
 pub mod product;
 pub mod psi;
 pub mod repeated;
@@ -57,7 +59,6 @@ pub mod schedule;
 pub mod search;
 pub mod static_analysis;
 pub mod transition;
-pub mod vass;
 pub mod verifier;
 
 pub use arena::{CounterArena, PitArena, StateArena};

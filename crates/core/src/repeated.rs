@@ -44,12 +44,14 @@
 //!    active state is a candidate.  Both are sound over-approximations of
 //!    the exact `covers` test, so the resulting edge list is identical
 //!    either way.
-//! 3. **Parallel edge construction.**  With `threads > 1`, workers claim
-//!    chunks of the active set from a shared cursor and compute candidate
-//!    edges against the frozen search.  Results are keyed by active-set
-//!    position, so the merged edge list — and therefore the verdict, the
-//!    witness and the [`CycleStats`] — is bit-identical for every thread
-//!    count.
+//! 3. **Parallel edge construction.**  The edges are built in waves of
+//!    source states on the same ordered worker pool as the search's plan
+//!    rounds: inline for one thread or a small wave, otherwise on scoped
+//!    threads that claim chunks of the wave from one cursor and compute
+//!    candidate edges against the frozen search.  Results come back by
+//!    active-set position, so the merged edge list — and therefore the
+//!    verdict, the witness and the [`CycleStats`] — is bit-identical for
+//!    every thread count.
 //! 4. **One SCC pass instead of one DFS per accepting state.**  A state
 //!    lies on a cycle iff its strongly connected component has size > 1 or
 //!    it has a self-loop, so a single Tarjan pass over the abstract graph
@@ -76,8 +78,6 @@ use crate::search::{
     SearchStats, WorkerStats,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 use verifas_model::ServiceRef;
 
@@ -161,11 +161,11 @@ pub struct RepeatedOutcome {
     /// the search found a finite violation or rule (a) already produced
     /// the answer).
     pub cycle: Option<CycleStats>,
-    /// Set when a worker thread of the auxiliary search or the edge
-    /// construction panicked: the analysis degraded to a limit-stopped
-    /// run (partial answers stay sound — a violation found before the
-    /// panic is real) and the owning engine request surfaces the message
-    /// as a typed [`crate::error::VerifasError::Internal`].
+    /// Set when the auxiliary search's planning or the edge construction
+    /// panicked (inline or on a worker thread): the analysis degraded to
+    /// a limit-stopped run (partial answers stay sound — a violation found
+    /// before the panic is real) and the owning engine request surfaces
+    /// the message as a typed [`crate::error::VerifasError::Internal`].
     pub failure: Option<String>,
 }
 
@@ -358,18 +358,18 @@ type AbstractEdge = (usize, ServiceRef);
 /// Successors come from the search's successor log (recorded during the
 /// apply phase), so the pass never re-runs the symbolic transition
 /// function.  The construction is chunked into waves of
-/// [`SearchControl::granularity`] source states: within a wave, `workers`
-/// threads claim chunks from a shared cursor and write their per-source
-/// edge lists into per-position slots (so the merged graph is independent
-/// of scheduling); between waves, the coordinating thread emits a
-/// [`ProgressEvent::CycleProgress`] event.  Workers poll
+/// [`SearchControl::granularity`] source states: within a wave, the
+/// ordered pool builds each source's edge list on up to `workers` threads
+/// and hands the lists back by position (so the merged graph is
+/// independent of scheduling); between waves, the coordinating thread
+/// emits a [`ProgressEvent::CycleProgress`] event.  Workers poll
 /// [`SearchControl::should_stop`] per source state; an interrupted pass
 /// returns with `CycleStats::completed == false`.
 ///
-/// A panicking worker interrupts the pass the same way cancellation does
-/// (`completed == false`, so the caller skips the unsound cycle check);
-/// the panic message is returned as the fourth component instead of
-/// aborting the process.
+/// A panic while building edges interrupts the pass the same way
+/// cancellation does (`completed == false`, so the caller skips the
+/// unsound cycle check); the panic message is returned as the fourth
+/// component instead of unwinding.
 #[allow(clippy::too_many_arguments)]
 fn build_abstract_edges(
     search: &KarpMillerSearch<'_>,
@@ -414,7 +414,7 @@ fn build_abstract_edges(
         .collect();
     let phase = control.current_phase();
     // Sequential waves follow the progress granularity exactly; parallel
-    // waves are floored so each std::thread::scope amortizes its spawns
+    // waves are floored so each threaded pool call amortizes its spawns
     // over real work (progress events then come at wave boundaries, still
     // a bounded interval).
     let wave = if workers <= 1 {
@@ -450,20 +450,20 @@ fn build_abstract_edges(
             break;
         }
         let end = (processed + wave).min(n);
-        let complete = if workers <= 1 || end - processed < 2 * workers {
-            // Small waves run inline: the wave split alone bounds the
-            // cancellation-poll and event-emission intervals.
-            let mut scratch = WorkerInterner::scratch(&search.interner);
-            let mut buffer: Vec<ProductSuccessor> = Vec::new();
-            let t0 = Instant::now();
-            let mut complete = true;
-            #[allow(clippy::needless_range_loop)]
-            for pos in processed..end {
-                if control.should_stop() {
-                    complete = false;
-                    break;
-                }
-                let edges = source_edges(
+        let pooled = crate::pool::run_ordered(
+            end - processed,
+            workers,
+            |_| {
+                (
+                    WorkerInterner::scratch(&search.interner),
+                    Vec::<ProductSuccessor>::new(),
+                    CycleStats::default(),
+                )
+            },
+            || control.should_stop(),
+            |offset, (scratch, buffer, counts), stats| {
+                let pos = processed + offset;
+                source_edges(
                     search,
                     product,
                     coverage,
@@ -471,122 +471,38 @@ fn build_abstract_edges(
                     active,
                     pos,
                     ranges[pos],
-                    &mut scratch,
-                    &mut buffer,
-                    &mut worker_stats[0],
-                    &mut cycle,
-                );
-                cycle.edges += edges.len();
-                graph.push(edges);
-            }
-            worker_stats[0].busy_micros += t0.elapsed().as_micros() as u64;
-            complete
-        } else {
-            let window = processed..end;
-            let slots: Vec<Mutex<Option<Vec<AbstractEdge>>>> =
-                window.clone().map(|_| Mutex::new(None)).collect();
-            let cursor = AtomicUsize::new(0);
-            let stopped = AtomicBool::new(false);
-            let chunk = ((end - processed) / (workers * 4)).max(1);
-            let mut wave_stats: Vec<(usize, WorkerStats, CycleStats)> = Vec::with_capacity(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let slots = &slots;
-                        let cursor = &cursor;
-                        let stopped = &stopped;
-                        let candidates = &candidates;
-                        let ranges = &ranges;
-                        let window = window.clone();
-                        let control: &SearchControl<'_> = control;
-                        scope.spawn(move || {
-                            let mut scratch = WorkerInterner::scratch(&search.interner);
-                            let mut buffer: Vec<ProductSuccessor> = Vec::new();
-                            let mut stats = WorkerStats::default();
-                            let mut counts = CycleStats::default();
-                            let t0 = Instant::now();
-                            'steal: loop {
-                                let begin = cursor.fetch_add(chunk, Ordering::Relaxed);
-                                if begin >= window.len() {
-                                    break;
-                                }
-                                let last = (begin + chunk).min(window.len());
-                                #[allow(clippy::needless_range_loop)]
-                                for offset in begin..last {
-                                    if control.should_stop() {
-                                        stopped.store(true, Ordering::Relaxed);
-                                        break 'steal;
-                                    }
-                                    let pos = window.start + offset;
-                                    let edges = source_edges(
-                                        search,
-                                        product,
-                                        coverage,
-                                        candidates,
-                                        active,
-                                        pos,
-                                        ranges[pos],
-                                        &mut scratch,
-                                        &mut buffer,
-                                        &mut stats,
-                                        &mut counts,
-                                    );
-                                    // Recover a poisoned slot (a sibling
-                                    // worker panicked): slots only ever
-                                    // hold fully built edge lists.
-                                    *slots[offset]
-                                        .lock()
-                                        .unwrap_or_else(|poisoned| poisoned.into_inner()) =
-                                        Some(edges);
-                                }
-                            }
-                            stats.busy_micros = t0.elapsed().as_micros() as u64;
-                            (stats, counts)
-                        })
-                    })
-                    .collect();
-                for (worker, handle) in handles.into_iter().enumerate() {
-                    // A panicked edge worker degrades the pass to an
-                    // interrupted one (the caller then skips the unsound
-                    // cycle check) instead of aborting the process; keep
-                    // joining the rest of the pool so no thread leaks.
-                    match handle.join() {
-                        Ok((stats, counts)) => wave_stats.push((worker, stats, counts)),
-                        Err(panic) => {
-                            let _ = failure.get_or_insert_with(|| {
-                                format!(
-                                    "edge-construction worker panicked: {}",
-                                    crate::error::panic_message(panic.as_ref())
-                                )
-                            });
-                        }
-                    }
-                }
-            });
-            for (worker, stats, counts) in wave_stats.iter() {
-                worker_stats[*worker].absorb(stats);
-                cycle.successors += counts.successors;
-                cycle.candidates += counts.candidates;
-            }
-            if stopped.load(Ordering::Relaxed) || failure.is_some() {
-                false
-            } else {
-                // Merge the wave in position order (determinism: the graph
-                // does not depend on which worker produced which slot).
-                for slot in slots {
-                    let edges = slot
-                        .into_inner()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .expect("every slot of an uninterrupted wave is filled");
-                    cycle.edges += edges.len();
-                    graph.push(edges);
-                }
-                true
+                    scratch,
+                    buffer,
+                    stats,
+                    counts,
+                )
+            },
+        );
+        // A panicked edge worker interrupts the pass like cancellation
+        // (the caller then skips the unsound cycle check).
+        let wave_run = match pooled {
+            Ok(wave_run) => wave_run,
+            Err(panic) => {
+                failure = Some(format!("edge-construction worker panicked: {panic}"));
+                cycle.completed = false;
+                break;
             }
         };
-        if !complete {
+        for (stats, (_, _, counts)) in wave_run.stats.iter().zip(&wave_run.states) {
+            worker_stats[stats.worker].absorb(stats);
+            cycle.successors += counts.successors;
+            cycle.candidates += counts.candidates;
+        }
+        if wave_run.stopped {
             cycle.completed = false;
             break;
+        }
+        // Merge the wave in position order (determinism: the graph does
+        // not depend on which worker produced which position).
+        for edges in wave_run.results {
+            let edges = edges.expect("every position of an unstopped wave ran");
+            cycle.edges += edges.len();
+            graph.push(edges);
         }
         processed = end;
         control.emit(ProgressEvent::CycleProgress {

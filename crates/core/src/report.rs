@@ -560,10 +560,6 @@ fn options_to_json(options: &VerifierOptions) -> Json {
                 ),
             ]),
         ),
-        (
-            "reference_repeated".to_owned(),
-            Json::Bool(options.reference_repeated),
-        ),
     ])
 }
 
@@ -580,14 +576,6 @@ fn options_from_json(value: &Json) -> Result<VerifierOptions, VerifasError> {
             max_states: u64_member(limits, "max_states")? as usize,
             max_millis: u64_member(limits, "max_millis")?,
         },
-        // The oracle-arm toggle postdates schema v4; documents written
-        // before it simply omit the member and default to the real engine.
-        reference_repeated: value
-            .get("reference_repeated")
-            .map_or(Ok(false), |v| match v {
-                Json::Bool(b) => Ok(*b),
-                _ => bool_member(value, "reference_repeated"),
-            })?,
     })
 }
 
@@ -687,8 +675,9 @@ mod tests {
         assert_eq!(parsed.to_json(), text);
     }
 
-    /// Documents written before `used_index` and `reference_layout` were
-    /// dropped still read: unknown members are ignored.
+    /// Documents written before `used_index`, `reference_layout` and
+    /// `reference_repeated` were dropped still read: unknown members are
+    /// ignored.
     #[test]
     fn retired_members_are_ignored() {
         let report = sample_report();
@@ -696,11 +685,12 @@ mod tests {
             .to_json()
             .replacen("\"edge_micros\"", "\"used_index\":true,\"edge_micros\"", 1)
             .replacen(
-                "\"reference_repeated\"",
-                "\"reference_layout\":false,\"reference_repeated\"",
+                "\"limits\"",
+                "\"reference_layout\":false,\"reference_repeated\":true,\"limits\"",
                 1,
             );
         assert!(text.contains("used_index") && text.contains("reference_layout"));
+        assert!(text.contains("\"reference_repeated\":true"));
         assert_eq!(VerificationReport::from_json(&text).unwrap(), report);
     }
 

@@ -33,17 +33,21 @@
 //!
 //! # Parallel execution
 //!
-//! With [`KarpMillerSearch::threads`] > 1 the search runs as a sequence of
-//! *rounds* over the frontier:
+//! The search runs as a sequence of *rounds* over the frontier, with
+//! any number of [`KarpMillerSearch::threads`]:
 //!
-//! 1. **Plan phase (parallel).**  A pool of workers claims chunks of the
-//!    frontier from a shared cursor (work-stealing style) and, against a
-//!    frozen snapshot of the tree, computes for every frontier node its
-//!    product successors, speculative ω-accelerations against the node's
-//!    active ancestors, a speculative covered-by-active test and the list
-//!    of active states the successor would prune.  Workers intern unknown
-//!    stored types into per-worker [`WorkerInterner`] caches under
-//!    provisional ids.
+//! 1. **Plan phase (parallel).**  The crate's ordered worker pool (the
+//!    same one the repeated-reachability edge waves run on) plans every
+//!    frontier node against a frozen snapshot of the tree: its product
+//!    successors, speculative ω-accelerations against the node's active
+//!    ancestors, a speculative covered-by-active test and the list of
+//!    active states the successor would prune.  A small round runs inline
+//!    on the coordinating thread; a larger one runs on scoped threads
+//!    that claim chunks of the frontier from one cursor.  Either way the
+//!    plans come back by frontier position, and a panic in a plan worker
+//!    comes back as an error that stops the search at the round boundary.
+//!    Workers intern unknown stored types into per-worker
+//!    [`WorkerInterner`] caches under provisional ids.
 //! 2. **Apply phase (sequential, deterministic).**  The coordinating
 //!    thread replays the plans in frontier order: it publishes each node's
 //!    new stored types to the shared interner (in first-intern order, so
@@ -77,8 +81,6 @@ use crate::psi::{
     is_provisional, provisional_parts, CounterVec, StoredTypeId, StoredTypeInterner, TypeTable,
     WorkerInterner,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use verifas_model::{ArtRelId, ServiceRef};
 
@@ -354,12 +356,13 @@ pub struct KarpMillerSearch<'a> {
     /// Compact the successor log (dropping entries of pruned parents) once
     /// it reaches this size; doubles after every compaction.
     log_compact_at: usize,
-    /// Set when a plan-phase worker thread panicked.  The round's plans
-    /// are then discarded unapplied (the tree stays consistent — the
-    /// apply phase never saw them), the search stops at that boundary
-    /// like a resource limit, and the owning engine request surfaces the
-    /// message as a typed [`crate::error::VerifasError::Internal`]
-    /// instead of aborting the process.  Sticky for the run.
+    /// Set when planning a round panicked (inline or on a worker thread).
+    /// The round's plans are then discarded unapplied (the tree stays
+    /// consistent — the apply phase never saw them), the search stops at
+    /// that boundary like a resource limit, and the owning engine request
+    /// surfaces the message as a typed
+    /// [`crate::error::VerifasError::Internal`] instead of unwinding.
+    /// Sticky for the run.
     pub failure: Option<String>,
     /// Coverage/prune candidate ids: the active ids of each discrete
     /// group with data-structure support, every node id without it.
@@ -540,17 +543,20 @@ impl<'a> KarpMillerSearch<'a> {
             // wall-clock budget, so a large frontier cannot overshoot
             // `limits.max_millis` by a whole round of planning.
             let time_budget = start + Duration::from_millis(self.limits.max_millis);
-            let (mut plans, mut scratch) =
-                self.plan_round(&frontier, workers, time_budget, control);
             // A panicked plan worker leaves its chunk's plans incomplete;
             // applying the rest would diverge from a sequential run.  Drop
             // the whole round and stop at this boundary — the tree holds
             // only fully applied rounds, and the failure message reaches
             // the caller through `self.failure`.
-            if self.failure.is_some() {
-                self.stats.limit_reached = true;
-                break 'search SearchOutcome::LimitReached;
-            }
+            let (mut plans, mut scratch) =
+                match self.plan_round(&frontier, workers, time_budget, control) {
+                    Ok(round) => round,
+                    Err(reason) => {
+                        self.failure.get_or_insert(reason);
+                        self.stats.limit_reached = true;
+                        break 'search SearchOutcome::LimitReached;
+                    }
+                };
             // Apply phase: replay the plans in deterministic order.
             let round_base = self.arena.len() as u32;
             apply.begin_round(&scratch);
@@ -610,13 +616,13 @@ impl<'a> KarpMillerSearch<'a> {
         outcome
     }
 
-    /// Speculatively plan every frontier node.  Returns one optional plan
-    /// per frontier position plus the per-worker scratch type tables
-    /// needed to resolve provisional ids.
+    /// Speculatively plan every frontier node on the ordered pool.
+    /// Returns one optional plan per frontier position plus the
+    /// per-worker scratch type tables needed to resolve provisional ids,
+    /// or the message of a panic in a plan worker.
     ///
     /// A plan may be missing only for a node that was already inactive,
-    /// after cancellation / the `time_budget` deadline, or after a worker
-    /// panic (recorded in [`KarpMillerSearch::failure`]) — conditions
+    /// or after cancellation / the `time_budget` deadline — conditions
     /// that are sticky, so the apply loop's own checks always break
     /// before reaching an unplanned position.
     #[allow(clippy::type_complexity)]
@@ -626,111 +632,31 @@ impl<'a> KarpMillerSearch<'a> {
         workers: usize,
         time_budget: Instant,
         control: &SearchControl<'_>,
-    ) -> (Vec<Option<NodePlan>>, Vec<Vec<(ArtRelId, Pit)>>) {
-        let out_of_time = move || control.should_stop() || Instant::now() >= time_budget;
-        // Small rounds are planned inline: a thread pool would cost more
-        // than it saves and the plan/apply split alone preserves
-        // determinism.
-        if workers <= 1 || frontier.len() < 2 * workers {
-            let mut interner = WorkerInterner::new(&self.interner, 0);
-            let mut stats = WorkerStats::default();
-            let t0 = Instant::now();
-            let mut plans = Vec::with_capacity(frontier.len());
-            for &id in frontier {
-                if !self.arena.is_active(id) || out_of_time() {
-                    plans.push(None);
-                    continue;
-                }
-                plans.push(Some(self.plan_node(id, &mut interner, &mut stats)));
-            }
-            stats.busy_micros = t0.elapsed().as_micros() as u64;
-            self.worker_stats[0].absorb(&stats);
-            return (plans, vec![interner.into_types()]);
-        }
-        let slots: Vec<Mutex<Option<NodePlan>>> =
-            frontier.iter().map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        let chunk = (frontier.len() / (workers * 4)).max(1);
-        let mut scratch: Vec<Vec<(ArtRelId, Pit)>> = vec![Vec::new(); workers];
-        let mut round_stats: Vec<WorkerStats> = vec![WorkerStats::default(); workers];
-        let mut failure: Option<String> = None;
+    ) -> Result<(Vec<Option<NodePlan>>, Vec<Vec<(ArtRelId, Pit)>>), String> {
         let this = &*self;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let slots = &slots;
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut interner = WorkerInterner::new(&this.interner, worker);
-                        let mut stats = WorkerStats::default();
-                        let t0 = Instant::now();
-                        'steal: loop {
-                            let begin = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if begin >= frontier.len() {
-                                break;
-                            }
-                            let end = (begin + chunk).min(frontier.len());
-                            for pos in begin..end {
-                                if out_of_time() {
-                                    break 'steal;
-                                }
-                                let id = frontier[pos];
-                                if !this.arena.is_active(id) {
-                                    continue;
-                                }
-                                let plan = this.plan_node(id, &mut interner, &mut stats);
-                                // Recover a poisoned slot instead of
-                                // propagating the panic: slots only ever
-                                // hold fully constructed plans, so the
-                                // contents stay consistent even when a
-                                // sibling worker panicked mid-round.
-                                *slots[pos]
-                                    .lock()
-                                    .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(plan);
-                            }
-                        }
-                        stats.busy_micros = t0.elapsed().as_micros() as u64;
-                        (interner.into_types(), stats)
-                    })
-                })
-                .collect();
-            for (worker, handle) in handles.into_iter().enumerate() {
-                // A panicked worker must degrade to a typed error, not
-                // abort the process: record the first panic message (the
-                // run stops at this round boundary) and keep joining the
-                // rest of the pool so no thread leaks.
-                match handle.join() {
-                    Ok((types, stats)) => {
-                        scratch[worker] = types;
-                        round_stats[worker] = stats;
-                    }
-                    Err(panic) => {
-                        let _ = failure.get_or_insert_with(|| {
-                            format!(
-                                "search worker panicked: {}",
-                                crate::error::panic_message(panic.as_ref())
-                            )
-                        });
-                    }
-                }
-            }
-        });
-        if let Some(reason) = failure {
-            self.failure.get_or_insert(reason);
-        }
-        for (worker, stats) in round_stats.iter().enumerate() {
-            self.worker_stats[worker].absorb(stats);
-        }
-        (
-            slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                })
-                .collect(),
-            scratch,
+        let round = crate::pool::run_ordered(
+            frontier.len(),
+            workers,
+            |worker| WorkerInterner::new(&this.interner, worker),
+            || control.should_stop() || Instant::now() >= time_budget,
+            |pos, interner, stats| {
+                let id = frontier[pos];
+                this.arena
+                    .is_active(id)
+                    .then(|| this.plan_node(id, interner, stats))
+            },
         )
+        .map_err(|panic| format!("search worker panicked: {panic}"))?;
+        let plans = round.results.into_iter().map(Option::flatten).collect();
+        let scratch = round
+            .states
+            .into_iter()
+            .map(WorkerInterner::into_types)
+            .collect();
+        for stats in &round.stats {
+            self.worker_stats[stats.worker].absorb(stats);
+        }
+        Ok((plans, scratch))
     }
 
     /// Plan one frontier node against the frozen tree snapshot.
@@ -750,29 +676,16 @@ impl<'a> KarpMillerSearch<'a> {
             let mut state = succ.state;
             let raw_counters = state.psi.counters.clone();
             // Speculative ω-acceleration against the snapshot-active
-            // ancestors (walking up from the expanded node, like the
-            // sequential search).
-            let mut accelerations = 0usize;
-            let mut ancestor = Some(id);
-            while let Some(a) = ancestor {
-                if self.arena.is_active(a) {
-                    if let Some(counters) =
-                        accelerate(self.coverage, self.arena.view(a), state.view(), &*interner)
-                    {
-                        state.psi.counters = counters;
-                        accelerations += 1;
-                    }
-                }
-                ancestor = self.arena.parent(a);
-            }
+            // ancestors.
+            let accelerations = self.accelerate_along_ancestors(id, &mut state, &*interner);
             let finite_violation = succ.finite_violation;
             let signature = state.psi.pit.signature();
             let (covered_by, prunes) = if finite_violation {
                 (None, Vec::new())
             } else {
                 (
-                    self.snapshot_covered_by(&state, signature, &*interner),
-                    self.snapshot_prunes(&state, signature, &*interner),
+                    self.covering_node(&state, signature, 0, &*interner),
+                    self.covered_nodes(&state, signature, 0, None, &*interner),
                 )
             };
             succs.push(SuccessorPlan {
@@ -797,35 +710,68 @@ impl<'a> KarpMillerSearch<'a> {
         }
     }
 
-    /// First snapshot-active node covering the candidate state (whose
-    /// type has `signature`), if any.  Like every lookup below, it checks
-    /// liveness itself: the scan also yields inactive ids.
-    fn snapshot_covered_by(
+    /// ω-accelerate `state` against every active node on the path from
+    /// `id` up to the root, the way the sequential search walks it.
+    /// Returns the number of accelerations applied.
+    fn accelerate_along_ancestors(
+        &self,
+        id: u32,
+        state: &mut ProductState,
+        table: &dyn TypeTable,
+    ) -> usize {
+        let mut count = 0usize;
+        let mut ancestor = Some(id);
+        while let Some(a) = ancestor {
+            if self.arena.is_active(a) {
+                if let Some(counters) =
+                    accelerate(self.coverage, self.arena.view(a), state.view(), table)
+                {
+                    state.psi.counters = counters;
+                    count += 1;
+                }
+            }
+            ancestor = self.arena.parent(a);
+        }
+        count
+    }
+
+    /// First active node with id ≥ `from` that covers `state` (whose type
+    /// has `signature`), if any.  `from` is 0 for the whole tree, or the
+    /// round's first id for the states added this round.  Both lookups
+    /// check liveness themselves: the candidate scan also yields inactive
+    /// ids.
+    fn covering_node(
         &self,
         state: &ProductState,
         signature: Signature,
-        interner: &dyn TypeTable,
+        from: u32,
+        table: &dyn TypeTable,
     ) -> Option<u32> {
         let view = state.view();
         self.candidates
-            .covering(discrete_key(view), signature, 0)
+            .covering(discrete_key(view), signature, from)
             .find(|&j| {
-                self.arena.is_active(j) && covers(self.coverage, view, self.arena.view(j), interner)
+                self.arena.is_active(j) && covers(self.coverage, view, self.arena.view(j), table)
             })
     }
 
-    /// All snapshot-active nodes covered by the candidate state.
-    fn snapshot_prunes(
+    /// Active nodes with id ≥ `from`, outside `skip`, that `state` covers
+    /// (prune candidates).
+    fn covered_nodes(
         &self,
         state: &ProductState,
         signature: Signature,
-        interner: &dyn TypeTable,
+        from: u32,
+        skip: Option<&EpochMarks>,
+        table: &dyn TypeTable,
     ) -> Vec<u32> {
         let view = state.view();
         self.candidates
-            .covered(discrete_key(view), signature, 0)
+            .covered(discrete_key(view), signature, from)
             .filter(|&j| {
-                self.arena.is_active(j) && covers(self.coverage, self.arena.view(j), view, interner)
+                self.arena.is_active(j)
+                    && !skip.is_some_and(|marks| marks.contains(j))
+                    && covers(self.coverage, self.arena.view(j), view, table)
             })
             .collect()
     }
@@ -893,23 +839,7 @@ impl<'a> KarpMillerSearch<'a> {
                 // An ancestor was deactivated after the plan was made:
                 // replay the acceleration against the live tree.
                 state.psi.counters = apply.publish(&succ.raw_counters);
-                let mut count = 0usize;
-                let mut ancestor = Some(id);
-                while let Some(a) = ancestor {
-                    if self.arena.is_active(a) {
-                        if let Some(counters) = accelerate(
-                            self.coverage,
-                            self.arena.view(a),
-                            state.view(),
-                            &self.interner,
-                        ) {
-                            state.psi.counters = counters;
-                            count += 1;
-                        }
-                    }
-                    ancestor = self.arena.parent(a);
-                }
-                accelerations = count;
+                accelerations = self.accelerate_along_ancestors(id, &mut state, &self.interner);
             }
             self.stats.accelerations += accelerations;
             if succ.finite_violation {
@@ -920,13 +850,17 @@ impl<'a> KarpMillerSearch<'a> {
             // Skip if an active state already covers the new one.  The
             // speculative answer is reused when it still holds; states
             // added earlier in this round are always re-checked live.
+            let covered_from = |from| {
+                self.covering_node(&state, signature, from, &self.interner)
+                    .is_some()
+            };
             let covered = if !speculation_valid {
-                self.covered_live(&state, signature, 0)
+                covered_from(0)
             } else {
                 match succ.covered_by {
                     Some(j) if !apply.deactivated.contains(j) => true,
-                    Some(_) => self.covered_live(&state, signature, 0),
-                    None => self.covered_live(&state, signature, round_base),
+                    Some(_) => covered_from(0),
+                    None => covered_from(round_base),
                 }
             };
             if covered {
@@ -937,6 +871,7 @@ impl<'a> KarpMillerSearch<'a> {
             // descendants) covered by the new one, except ancestors of
             // the node being extended (conservative variant of the
             // Reynier–Servais rule).
+            let ancestors = Some(&apply.ancestors);
             let mut to_prune: Vec<u32> = if speculation_valid {
                 succ.prunes
                     .iter()
@@ -944,11 +879,17 @@ impl<'a> KarpMillerSearch<'a> {
                     .filter(|&j| self.arena.is_active(j) && !apply.ancestors.contains(j))
                     .collect()
             } else {
-                self.live_prunes(&state, signature, &apply.ancestors, 0)
+                self.covered_nodes(&state, signature, 0, ancestors, &self.interner)
             };
             if speculation_valid {
                 // States added this round were invisible to the plan.
-                to_prune.extend(self.live_prunes(&state, signature, &apply.ancestors, round_base));
+                to_prune.extend(self.covered_nodes(
+                    &state,
+                    signature,
+                    round_base,
+                    ancestors,
+                    &self.interner,
+                ));
             }
             for j in to_prune {
                 self.deactivate_subtree(j, &apply.ancestors, &mut apply.deactivated);
@@ -966,39 +907,6 @@ impl<'a> KarpMillerSearch<'a> {
             .insert(self.arena.discrete_key(id), id, signature);
         self.stats.states_created += 1;
         id
-    }
-
-    /// Is the candidate covered by an active node with id ≥ `from` on the
-    /// live tree?  (`from` is 0 for the whole tree, or the round's first
-    /// id for the states added this round.)
-    fn covered_live(&self, state: &ProductState, signature: Signature, from: u32) -> bool {
-        let view = state.view();
-        self.candidates
-            .covering(discrete_key(view), signature, from)
-            .any(|j| {
-                self.arena.is_active(j)
-                    && covers(self.coverage, view, self.arena.view(j), &self.interner)
-            })
-    }
-
-    /// Active, non-ancestor nodes with id ≥ `from` covered by `state` on
-    /// the live tree.
-    fn live_prunes(
-        &self,
-        state: &ProductState,
-        signature: Signature,
-        ancestors: &EpochMarks,
-        from: u32,
-    ) -> Vec<u32> {
-        let view = state.view();
-        self.candidates
-            .covered(discrete_key(view), signature, from)
-            .filter(|&j| {
-                self.arena.is_active(j)
-                    && !ancestors.contains(j)
-                    && covers(self.coverage, self.arena.view(j), view, &self.interner)
-            })
-            .collect()
     }
 
     fn deactivate_subtree(

@@ -21,8 +21,12 @@ use crate::coverage::CoverageKind;
 use crate::error::VerifasError;
 use crate::observer::SearchControl;
 use crate::product::ProductSystem;
-use crate::repeated::{find_infinite_violation_with, CycleStats};
-use crate::search::{KarpMillerSearch, SearchLimits, SearchOutcome, SearchStats, WorkerStats};
+use crate::repeated::{
+    find_infinite_violation_reference, find_infinite_violation_with, CycleStats, RepeatedOutcome,
+};
+use crate::search::{
+    merge_worker_stats, KarpMillerSearch, SearchLimits, SearchOutcome, SearchStats, WorkerStats,
+};
 use verifas_model::ServiceRef;
 
 /// Options controlling the verifier (all optimisations enabled by
@@ -49,12 +53,6 @@ pub struct VerifierOptions {
     pub search_threads: usize,
     /// Resource limits of each search phase.
     pub limits: SearchLimits,
-    /// Run phase 2 through [`crate::repeated::find_infinite_violation_reference`]
-    /// (the retained O(active²) oracle) instead of the filtered
-    /// implementation.  The reference arm produces no [`CycleStats`], so
-    /// differential comparisons against it cover verdict + witness +
-    /// phase-1 stats only.
-    pub reference_repeated: bool,
 }
 
 impl Default for VerifierOptions {
@@ -67,7 +65,6 @@ impl Default for VerifierOptions {
             check_repeated: true,
             search_threads: 1,
             limits: SearchLimits::default(),
-            reference_repeated: false,
         }
     }
 }
@@ -116,7 +113,7 @@ impl VerifierOptions {
         Ok(out)
     }
 
-    fn coverage(&self) -> CoverageKind {
+    pub(crate) fn coverage(&self) -> CoverageKind {
         if self.state_pruning {
             CoverageKind::Subsumption
         } else {
@@ -124,7 +121,7 @@ impl VerifierOptions {
         }
     }
 
-    fn repeated_coverage(&self) -> CoverageKind {
+    pub(crate) fn repeated_coverage(&self) -> CoverageKind {
         if self.state_pruning {
             CoverageKind::StrictSubsumption
         } else {
@@ -174,10 +171,11 @@ pub struct VerificationResult {
     /// Per-worker statistics across both phases (empty for runs made by
     /// engines predating the parallel search).
     pub worker_stats: Vec<WorkerStats>,
-    /// Set when a worker thread of either phase panicked: the run
-    /// degraded to a limit-stopped one (any violation already in hand is
-    /// still sound) and the owning engine request surfaces the message
-    /// as a typed [`VerifasError::Internal`] instead of a report.
+    /// Set when planning or edge construction panicked in either phase
+    /// (inline or on a worker thread): the run degraded to a limit-stopped
+    /// one (any violation already in hand is still sound) and the owning
+    /// engine request surfaces the message as a typed
+    /// [`VerifasError::Internal`] instead of a report.
     pub failure: Option<String>,
 }
 
@@ -189,8 +187,8 @@ impl VerificationResult {
 }
 
 /// Run the two verification phases over a prepared product system under a
-/// [`SearchControl`] (observer + cancellation).  This is the
-/// implementation behind `verifas::Engine`.
+/// [`SearchControl`] (observer + cancellation) — the run `verifas::Engine`
+/// makes for every request.
 pub fn run_verification(
     product: &ProductSystem,
     options: VerifierOptions,
@@ -201,22 +199,27 @@ pub fn run_verification(
         options.coverage(),
         options.repeated_coverage(),
         options,
+        false,
         control,
     )
 }
 
 /// The two verification phases under explicit coverage orders: phase 1
 /// prunes with `coverage`, phase 2 with `repeated_coverage`.  Of `options`
-/// only the DSS flag, the limits, the thread count and the phase-2
-/// switches (`check_repeated`, `reference_repeated`) apply; the product
-/// already carries the static analysis and the artifact-relation choice.
-/// [`crate::baseline::BaselineVerifier`] runs it with
+/// only the DSS flag, the limits, the thread count and `check_repeated`
+/// apply; the product already carries the static analysis and the
+/// artifact-relation choice.  `reference_phase2` runs phase 2 through the
+/// retained O(active²) oracle
+/// ([`crate::repeated::find_infinite_violation_reference`]), which
+/// produces no [`CycleStats`]; only the fuzz `repeated` arm sets it.
+/// [`crate::baseline::BaselineVerifier`] runs this with
 /// [`CoverageKind::Equality`] in both phases.
 pub(crate) fn run_phases(
     product: &ProductSystem,
     coverage: CoverageKind,
     repeated_coverage: CoverageKind,
     options: VerifierOptions,
+    reference_phase2: bool,
     control: &mut SearchControl<'_>,
 ) -> VerificationResult {
     // Phase 1: reachability search (finds finite violations).
@@ -229,131 +232,83 @@ pub(crate) fn run_phases(
     );
     search.threads = options.search_threads;
     let outcome = search.run_with(control);
-    let stats = search.stats;
-    let worker_stats = std::mem::take(&mut search.worker_stats);
-    let failure = std::mem::take(&mut search.failure);
-    match outcome {
-        SearchOutcome::FiniteViolation(node) => {
-            let services: Vec<ServiceRef> =
-                search.trace(node).into_iter().map(|(s, _)| s).collect();
-            let description = describe(product, &services);
-            VerificationResult {
-                outcome: VerificationOutcome::Violated,
-                counterexample: Some(Counterexample {
-                    services,
-                    description,
-                    finite: true,
-                }),
-                stats,
-                repeated_stats: None,
-                repeated_cycle: None,
-                worker_stats,
-                failure,
-            }
+    let mut result = VerificationResult {
+        outcome: VerificationOutcome::Inconclusive,
+        counterexample: None,
+        stats: search.stats,
+        repeated_stats: None,
+        repeated_cycle: None,
+        worker_stats: std::mem::take(&mut search.worker_stats),
+        failure: std::mem::take(&mut search.failure),
+    };
+    // Phase 2: repeated reachability for infinite violations.
+    let mut repeated = (outcome == SearchOutcome::Exhausted && options.check_repeated).then(|| {
+        if reference_phase2 {
+            find_infinite_violation_reference(product, repeated_coverage, options.limits)
+        } else {
+            find_infinite_violation_with(
+                product,
+                repeated_coverage,
+                options.data_structure_support,
+                options.limits,
+                options.search_threads,
+                control,
+            )
         }
-        SearchOutcome::LimitReached => VerificationResult {
-            outcome: VerificationOutcome::Inconclusive,
-            counterexample: None,
-            stats,
-            repeated_stats: None,
-            repeated_cycle: None,
-            worker_stats,
-            failure,
-        },
-        SearchOutcome::Exhausted => {
-            if !options.check_repeated {
-                return VerificationResult {
-                    outcome: VerificationOutcome::Satisfied,
-                    counterexample: None,
-                    stats,
-                    repeated_stats: None,
-                    repeated_cycle: None,
-                    worker_stats,
-                    failure,
-                };
-            }
-            // Phase 2: repeated reachability for infinite violations.
-            let repeated = if options.reference_repeated {
-                crate::repeated::find_infinite_violation_reference(
-                    product,
-                    repeated_coverage,
-                    options.limits,
-                )
-            } else {
-                find_infinite_violation_with(
-                    product,
-                    repeated_coverage,
-                    options.data_structure_support,
-                    options.limits,
-                    options.search_threads,
-                    control,
-                )
-            };
-            let repeated_stats = Some(repeated.stats);
-            let repeated_cycle = repeated.cycle;
-            let failure = failure.or(repeated.failure);
-            // Merge the repeated phase's pools (auxiliary search + edge
-            // construction) into the per-worker totals.
-            let mut worker_stats = worker_stats;
-            crate::search::merge_worker_stats(&mut worker_stats, &repeated.worker_stats);
-            if let Some(finite) = repeated.finite_violation {
-                let description = describe(product, &finite);
-                return VerificationResult {
-                    outcome: VerificationOutcome::Violated,
-                    counterexample: Some(Counterexample {
-                        services: finite,
-                        description,
-                        finite: true,
-                    }),
-                    stats,
-                    repeated_stats,
-                    repeated_cycle,
-                    worker_stats,
-                    failure,
-                };
-            }
-            match repeated.violation {
-                Some(v) => {
-                    let description = format!(
-                        "{} (infinite run: {})",
-                        describe(product, &v.prefix),
-                        v.reason
-                    );
-                    VerificationResult {
-                        outcome: VerificationOutcome::Violated,
-                        counterexample: Some(Counterexample {
-                            services: v.prefix,
-                            description,
-                            finite: false,
-                        }),
-                        stats,
-                        repeated_stats,
-                        repeated_cycle,
-                        worker_stats,
-                        failure,
-                    }
-                }
-                None if repeated.limit_reached => VerificationResult {
-                    outcome: VerificationOutcome::Inconclusive,
-                    counterexample: None,
-                    stats,
-                    repeated_stats,
-                    repeated_cycle,
-                    worker_stats,
-                    failure,
-                },
-                None => VerificationResult {
-                    outcome: VerificationOutcome::Satisfied,
-                    counterexample: None,
-                    stats,
-                    repeated_stats,
-                    repeated_cycle,
-                    worker_stats,
-                    failure,
-                },
-            }
-        }
+    });
+    if let Some(repeated) = repeated.as_mut() {
+        result.repeated_stats = Some(repeated.stats);
+        result.repeated_cycle = repeated.cycle;
+        result.failure = result.failure.take().or(repeated.failure.take());
+        // Merge the repeated phase's pools (auxiliary search + edge
+        // construction) into the per-worker totals.
+        merge_worker_stats(&mut result.worker_stats, &repeated.worker_stats);
     }
+    // A violation's counterexample: finite unless it carries the reason
+    // an infinite run repeats.
+    let counterexample = |services: Vec<ServiceRef>, reason: Option<String>| {
+        let path = describe(product, &services);
+        Some(Counterexample {
+            services,
+            finite: reason.is_none(),
+            description: match reason {
+                Some(reason) => format!("{path} (infinite run: {reason})"),
+                None => path,
+            },
+        })
+    };
+    use SearchOutcome::{Exhausted, FiniteViolation, LimitReached};
+    use VerificationOutcome::{Inconclusive, Satisfied, Violated};
+    (result.outcome, result.counterexample) = match (outcome, repeated) {
+        (FiniteViolation(node), _) => {
+            let services = search.trace(node).into_iter().map(|(s, _)| s).collect();
+            (Violated, counterexample(services, None))
+        }
+        (LimitReached, _) => (Inconclusive, None),
+        (Exhausted, None) => (Satisfied, None),
+        (
+            Exhausted,
+            Some(RepeatedOutcome {
+                finite_violation: Some(services),
+                ..
+            }),
+        ) => (Violated, counterexample(services, None)),
+        (
+            Exhausted,
+            Some(RepeatedOutcome {
+                violation: Some(v), ..
+            }),
+        ) => (Violated, counterexample(v.prefix, Some(v.reason))),
+        (
+            Exhausted,
+            Some(RepeatedOutcome {
+                limit_reached: true,
+                ..
+            }),
+        ) => (Inconclusive, None),
+        (Exhausted, Some(_)) => (Satisfied, None),
+    };
+    result
 }
 
 fn describe(product: &ProductSystem, services: &[ServiceRef]) -> String {

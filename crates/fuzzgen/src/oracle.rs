@@ -11,8 +11,9 @@
 //!   candidate scans in both phases and the cycle pass instead of
 //!   signature-gated discrete groups,
 //! * [`OracleArm::ReferenceRepeated`] — the retained O(active²)
-//!   repeated-reachability oracle (verdict/witness compare only: the
-//!   reference emits no cycle statistics),
+//!   repeated-reachability oracle, reached through the engine's hidden
+//!   `check_with_reference_phase2` entry (verdict/witness compare only:
+//!   the reference emits no cycle statistics),
 //! * [`OracleArm::IncrementalPreproc`] / [`OracleArm::IncrementalReplay`]
 //!   — `Engine::load_delta` from a mutated predecessor spec, in each
 //!   [`ReuseMode`],
@@ -238,12 +239,27 @@ fn baseline_options(limits: SearchLimits) -> VerifierOptions {
     }
 }
 
-fn engine_reports(options: VerifierOptions, source: &str) -> Result<ArmReports, String> {
+/// Every property of `source` on a cold engine: through `check_all`, or
+/// with `reference_phase2` one at a time through the engine's hidden
+/// reference-phase-2 entry (the `repeated` arm).
+fn engine_reports(
+    options: VerifierOptions,
+    source: &str,
+    reference_phase2: bool,
+) -> Result<ArmReports, String> {
     let compiled = compile(source).map_err(|e| format!("compile failed: {e}"))?;
     let engine =
         Engine::load_with_options(compiled.spec, options).map_err(|e| format!("load: {e}"))?;
-    Ok(engine
-        .check_all(&compiled.properties)
+    let reports = if reference_phase2 {
+        compiled
+            .properties
+            .iter()
+            .map(|p| engine.check_with_reference_phase2(p))
+            .collect()
+    } else {
+        engine.check_all(&compiled.properties)
+    };
+    Ok(reports
         .into_iter()
         .map(|r| r.map_err(|e| e.to_string()))
         .collect())
@@ -367,6 +383,7 @@ fn arm_reports(
                 ..base
             },
             source,
+            false,
         ),
         OracleArm::IndexOff => engine_reports(
             VerifierOptions {
@@ -374,14 +391,9 @@ fn arm_reports(
                 ..base
             },
             source,
+            false,
         ),
-        OracleArm::ReferenceRepeated => engine_reports(
-            VerifierOptions {
-                reference_repeated: true,
-                ..base
-            },
-            source,
-        ),
+        OracleArm::ReferenceRepeated => engine_reports(base, source, true),
         OracleArm::IncrementalPreproc => {
             incremental_reports(file, source, base, ReuseMode::Preproc)
         }
@@ -407,7 +419,7 @@ pub fn check_spec_file(
     config: &FuzzConfig,
 ) -> Result<Option<Divergence>, String> {
     let source = format_spec(file);
-    let baseline = engine_reports(baseline_options(config.limits), &source)?;
+    let baseline = engine_reports(baseline_options(config.limits), &source, false)?;
     for &arm in &config.arms {
         let mut reports = arm_reports(arm, file, &source, config)?;
         if config.corrupt == Some(arm) {
