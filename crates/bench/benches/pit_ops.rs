@@ -4,7 +4,9 @@
 //!
 //! The `state_type_*` benches time the calls the search makes on every
 //! successor: re-closing a populated state type (`PitBuilder::from_pit`)
-//! and extending it by a one-edge condition (`eval_extensions`).
+//! and extending it by a one-edge condition (`eval_extensions`) the type
+//! neither holds nor contradicts, holds, or contradicts — one bench per
+//! path `eval_extensions` takes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::{BTreeSet, HashSet};
@@ -79,13 +81,35 @@ fn bench_pit_ops(c: &mut Criterion) {
     c.bench_function("state_type_from_pit", |b| {
         b.iter(|| PitBuilder::from_pit(&task.universe, &state).finish())
     });
-    // Consistent with the state type, so every iteration runs the full
-    // re-close, assert and finish.
-    let instock = Condition::eq(Term::var(VarId::new(3)), Term::str("No"));
-    let one_edge = compile_condition(&instock, &task.universe);
-    assert!(!eval_extensions(&state, &one_edge, &task.universe, &none).is_empty());
+    // `eval_extensions` settles a conjunct the state type holds or
+    // contradicts without a closure; the setup asserts which path each
+    // bench times.
+    let one_edge_on = |cond: &Condition| {
+        let compiled = compile_condition(cond, &task.universe);
+        assert_eq!(compiled.conjuncts.len(), 1);
+        assert_eq!(compiled.conjuncts[0].len(), 1);
+        let edge = compiled.conjuncts[0][0];
+        (compiled, edge)
+    };
+    let status = Term::var(VarId::new(2));
+    let instock = Term::var(VarId::new(3));
+    // Neither held nor contradicted, and consistent with the state type,
+    // so every iteration runs the full re-close, assert and finish.
+    let (built, edge) = one_edge_on(&Condition::neq(status, Term::str("Passed")));
+    assert!(!state.contains(edge) && !state.contains(edge.complement()));
+    assert!(!eval_extensions(&state, &built, &task.universe, &none).is_empty());
     c.bench_function("state_type_eval_one_edge", |b| {
-        b.iter(|| eval_extensions(&state, &one_edge, &task.universe, &none))
+        b.iter(|| eval_extensions(&state, &built, &task.universe, &none))
+    });
+    let (held, edge) = one_edge_on(&Condition::eq(instock.clone(), Term::str("No")));
+    assert!(state.contains(edge));
+    c.bench_function("state_type_eval_held", |b| {
+        b.iter(|| eval_extensions(&state, &held, &task.universe, &none))
+    });
+    let (contradicted, edge) = one_edge_on(&Condition::neq(instock, Term::str("No")));
+    assert!(state.contains(edge.complement()));
+    c.bench_function("state_type_eval_contradicted", |b| {
+        b.iter(|| eval_extensions(&state, &contradicted, &task.universe, &none))
     });
 }
 

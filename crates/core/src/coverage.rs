@@ -115,47 +115,72 @@ pub fn covers(
 /// tuples counted by `right` such that every tuple lands on a type it
 /// implies (Definition 22).  When `required_slack > 0` the mapping must in
 /// addition leave at least that much unused capacity on the right
-/// (Definition 31).
+/// (Definition 31).  An `ω` count weighs `2^40` on either side.
+///
+/// The answer is the max-flow test below, but most calls are settled
+/// before a network exists, in this order:
+///
+/// 1. the totals: no demand needs only `supply ≥ slack`, and a supply
+///    below `demand + slack` fails;
+/// 2. the identity: when `left ≤ right` pointwise, mapping every type to
+///    itself is a flow of value `demand`;
+/// 3. per-type reachability (Hall's condition for one type): a left type
+///    whose count exceeds the summed capacity of the right types it
+///    implies cannot be placed.
 pub fn flow_feasible(
     left: &[(StoredTypeId, u32)],
     right: &[(StoredTypeId, u32)],
     interner: &dyn TypeTable,
     required_slack: i64,
 ) -> bool {
-    let left_entries: Vec<(u32, i64)> = left.iter().map(|(t, c)| (*t, count_value(*c))).collect();
-    let right_entries: Vec<(u32, i64)> = right.iter().map(|(t, c)| (*t, count_value(*c))).collect();
-    let demand: i64 = left_entries.iter().map(|(_, c)| *c).sum();
-    let supply: i64 = right_entries.iter().map(|(_, c)| *c).sum();
+    let total = |entries: &[(StoredTypeId, u32)]| -> i64 {
+        entries.iter().map(|(_, c)| count_value(*c)).sum()
+    };
+    let demand = total(left);
+    let supply = total(right);
     if demand == 0 {
         return supply >= required_slack;
     }
     if supply < demand + required_slack {
         return false;
     }
+    if slice_leq(left, right) {
+        return true;
+    }
+    // The (left, right) index pairs with the left stored type implying the
+    // right one in the same artifact relation: the middle edges of the
+    // network, computed once.
+    let mut implied: Vec<(usize, usize)> = Vec::new();
+    for (i, &(lt, lc)) in left.iter().enumerate() {
+        let (lrel, lpit) = interner.get(lt);
+        let mut reach = 0;
+        for (j, &(rt, rc)) in right.iter().enumerate() {
+            let (rrel, rpit) = interner.get(rt);
+            if lrel == rrel && lpit.implies(rpit) {
+                implied.push((i, j));
+                reach += count_value(rc);
+            }
+        }
+        if count_value(lc) > reach {
+            return false;
+        }
+    }
     // Max-flow on the bipartite graph: source -> left (capacity = count),
-    // left -> right when the stored type of the left implies the stored
-    // type of the right (and they belong to the same artifact relation),
-    // right -> sink (capacity = count).
-    let n = 2 + left_entries.len() + right_entries.len();
+    // left -> right along `implied`, right -> sink (capacity = count).
+    let n = 2 + left.len() + right.len();
     let source = 0;
     let sink = 1;
     let left_node = |i: usize| 2 + i;
-    let right_node = |i: usize| 2 + left_entries.len() + i;
+    let right_node = |j: usize| 2 + left.len() + j;
     let mut flow = MaxFlow::new(n);
-    for (i, (_, c)) in left_entries.iter().enumerate() {
-        flow.add_edge(source, left_node(i), *c);
+    for (i, (_, c)) in left.iter().enumerate() {
+        flow.add_edge(source, left_node(i), count_value(*c));
     }
-    for (j, (_, c)) in right_entries.iter().enumerate() {
-        flow.add_edge(right_node(j), sink, *c);
+    for (j, (_, c)) in right.iter().enumerate() {
+        flow.add_edge(right_node(j), sink, count_value(*c));
     }
-    for (i, (lt, _)) in left_entries.iter().enumerate() {
-        let (lrel, lpit) = interner.get(*lt);
-        for (j, (rt, _)) in right_entries.iter().enumerate() {
-            let (rrel, rpit) = interner.get(*rt);
-            if lrel == rrel && lpit.implies(rpit) {
-                flow.add_edge(left_node(i), right_node(j), BIG);
-            }
-        }
+    for &(i, j) in &implied {
+        flow.add_edge(left_node(i), right_node(j), BIG);
     }
     flow.max_flow(source, sink) >= demand
 }
@@ -318,6 +343,8 @@ mod tests {
     use crate::expr::ExprUniverse;
     use crate::pit::{Pit, PitBuilder};
     use crate::psi::{Psi, StoredTypeInterner};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
     use verifas_model::schema::attr::data;
     use verifas_model::{
@@ -539,6 +566,113 @@ mod tests {
         )
         .expect("subsumption acceleration applies");
         assert_eq!(accelerated.get(t), OMEGA);
+    }
+
+    /// The summed counts of `entries`, with an `ω` count weighing 2^40 as
+    /// in the network.
+    fn weight<'a>(entries: impl IntoIterator<Item = &'a (StoredTypeId, u32)>) -> i64 {
+        entries
+            .into_iter()
+            .map(|&(_, c)| if c == OMEGA { 1 << 40 } else { i64::from(c) })
+            .sum()
+    }
+
+    /// Hall's condition by brute force: `supply ≥ demand + slack`, and
+    /// every non-empty set `S` of left entries fits into the right entries
+    /// it implies (`Σ_S count ≤ Σ_{N(S)} cap`).
+    fn halls_condition(
+        left: &[(StoredTypeId, u32)],
+        right: &[(StoredTypeId, u32)],
+        interner: &StoredTypeInterner,
+        slack: i64,
+    ) -> bool {
+        if weight(right) < weight(left) + slack {
+            return false;
+        }
+        let implies = |l: StoredTypeId, r: StoredTypeId| {
+            let ((lrel, lpit), (rrel, rpit)) = (interner.get(l), interner.get(r));
+            lrel == rrel && lpit.implies(rpit)
+        };
+        (1..1u32 << left.len()).all(|set| {
+            let members: Vec<&(StoredTypeId, u32)> = (0..left.len())
+                .filter(|i| set & (1 << i) != 0)
+                .map(|i| &left[i])
+                .collect();
+            let reached = right
+                .iter()
+                .filter(|(r, _)| members.iter().any(|(l, _)| implies(*l, *r)));
+            weight(members.iter().copied()) <= weight(reached)
+        })
+    }
+
+    /// `flow_feasible` equals [`halls_condition`] on random counter vectors
+    /// of 0–4 entries (counts 1–3 or `ω`) over random stored types of two
+    /// relations, at slack 0 and 1.  The sample must hold cases the
+    /// identity mapping decides, cases with a single unplaceable type, and
+    /// infeasible cases that only a set of two or more types exposes.
+    ///
+    /// This pins today's `ω` arithmetic: `ω` weighs 2^40, so for instance
+    /// two `ω` types never fit into one `ω` type.
+    #[test]
+    fn flow_feasible_matches_halls_condition() {
+        let (_s, u) = setup();
+        let mut interner = StoredTypeInterner::new();
+        let mut types = vec![
+            interner.intern(ArtRelId::new(0), Pit::empty()),
+            interner.intern(ArtRelId::new(1), Pit::empty()),
+        ];
+        for seed in 0..60 {
+            if let Some(pit) = crate::pit::tests::random_pit(&u, seed) {
+                types.push(interner.intern(ArtRelId::new(seed as u32 % 2), pit));
+            }
+        }
+        types.sort_unstable();
+        types.dedup();
+        let mut rng = StdRng::seed_from_u64(23);
+        let draw = |rng: &mut StdRng| {
+            let mut entries: Vec<(StoredTypeId, u32)> = (0..rng.gen_range(0..5))
+                .map(|_| {
+                    let count = match rng.gen_range(0..5u32) {
+                        0 => OMEGA,
+                        c => c.min(3),
+                    };
+                    (types[rng.gen_range(0..types.len())], count)
+                })
+                .collect();
+            entries.sort_unstable_by_key(|(t, _)| *t);
+            entries.dedup_by_key(|(t, _)| *t);
+            entries
+        };
+        let (mut identity, mut unplaceable, mut only_sets) = (0, 0, 0);
+        for _ in 0..20_000 {
+            let (left, right) = (draw(&mut rng), draw(&mut rng));
+            for slack in [0, 1] {
+                let expected = halls_condition(&left, &right, &interner, slack);
+                assert_eq!(
+                    flow_feasible(&left, &right, &interner, slack),
+                    expected,
+                    "left {left:?}, right {right:?}, slack {slack}"
+                );
+                // Tally the cases the totals do not settle.
+                if left.is_empty() || weight(&right) < weight(&left) + slack {
+                    continue;
+                }
+                if slice_leq(&left, &right) {
+                    identity += 1;
+                } else if left
+                    .iter()
+                    .any(|entry| !halls_condition(&[*entry], &right, &interner, 0))
+                {
+                    unplaceable += 1;
+                } else if !expected {
+                    only_sets += 1;
+                }
+            }
+        }
+        assert!(
+            identity > 100 && unplaceable > 100 && only_sets > 20,
+            "weak sample: {identity} identity, {unplaceable} unplaceable, {only_sets} set-only"
+        );
     }
 
     #[test]

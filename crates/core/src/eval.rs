@@ -166,16 +166,57 @@ pub fn compile_condition(cond: &Condition, universe: &ExprUniverse) -> CompiledC
 /// compiled condition.  `static_removed` lists edges the static analysis
 /// proved non-violating; they are dropped from the results to shrink the
 /// state space (Section 3.7).
+///
+/// Each conjunct `c` yields `closure(pit ∪ c) \ static_removed`, or
+/// nothing when that union is inconsistent.  Two cases are settled
+/// without a closure:
+///
+/// * **contradicted**: `pit` holds the complement of an edge of `c`, so
+///   the closure would put a `≠` inside a class — no extension, for any
+///   `pit`;
+/// * **held**: `pit` holds every edge of `c`, so the extension is
+///   `pit \ static_removed`.
+///
+/// Every other conjunct re-closes `pit` with its edges through
+/// [`PitBuilder`].
+///
+/// **Precondition** (what makes "held" exact): re-closing `pit` adds no
+/// edge outside `S = static_removed`, i.e. `closure(pit) \ S == pit \ S`.
+/// A state type is a closure with the removed edges dropped, and a
+/// projection of one onto heads closed under navigation qualifies too, so
+/// every state type and every intermediate type of a transition does.  A
+/// state type passed with an *empty* removed set does not, because its
+/// gaps would re-close; `SymbolicTask::successors` closes the state type
+/// before it evaluates internal pre-conditions for that reason.  Debug
+/// builds check the precondition on every call.
 pub fn eval_extensions(
     pit: &Pit,
     compiled: &CompiledCondition,
     universe: &ExprUniverse,
     static_removed: &HashSet<Edge>,
 ) -> Vec<Pit> {
+    debug_assert!(
+        recloses_within(pit, universe, static_removed),
+        "eval_extensions: re-closing the input adds edges outside the removed set"
+    );
     let mut out = Vec::new();
     for conjunct in &compiled.conjuncts {
-        // `pit` may be `without_edges` output, which is not closed, so it
-        // is re-closed from its edges rather than taken as is.
+        let mut held = true;
+        let mut contradicted = false;
+        for edge in conjunct {
+            if pit.contains(edge.complement()) {
+                contradicted = true;
+                break;
+            }
+            held = held && pit.contains(*edge);
+        }
+        if contradicted {
+            continue;
+        }
+        if held {
+            out.push(pit.without_edges(static_removed));
+            continue;
+        }
         let mut builder = PitBuilder::from_pit(universe, pit);
         for edge in conjunct {
             builder.assert_edge(*edge);
@@ -191,6 +232,14 @@ pub fn eval_extensions(
     out.sort();
     out.dedup();
     out
+}
+
+/// The precondition of [`eval_extensions`]: `pit` re-closes consistently
+/// and re-closing it adds no edge outside `removed`.
+fn recloses_within(pit: &Pit, universe: &ExprUniverse, removed: &HashSet<Edge>) -> bool {
+    PitBuilder::from_pit(universe, pit)
+        .finish()
+        .is_some_and(|closed| closed.without_edges(removed) == pit.without_edges(removed))
 }
 
 /// Extend every type of `pits` with the compiled condition, flattening the
@@ -214,6 +263,9 @@ pub fn extend_all(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pit::tests::{example18, random_pit};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
     use verifas_model::schema::attr::{data, fk};
     use verifas_model::{
@@ -343,6 +395,125 @@ mod tests {
         let results = eval_extensions(&Pit::empty(), &compiled, &u, &removed);
         assert_eq!(results.len(), 1);
         assert!(results[0].is_empty());
+    }
+
+    /// `eval(τ, φ)` computed by the builder alone: every conjunct
+    /// re-closes `pit` with its edges, with no short-circuit.
+    fn eval_by_closure(
+        pit: &Pit,
+        compiled: &CompiledCondition,
+        u: &ExprUniverse,
+        removed: &HashSet<Edge>,
+    ) -> Vec<Pit> {
+        let mut out: Vec<Pit> = compiled
+            .conjuncts
+            .iter()
+            .filter_map(|conjunct| {
+                let mut b = PitBuilder::from_pit(u, pit);
+                for edge in conjunct {
+                    b.assert_edge(*edge);
+                }
+                b.finish().map(|p| p.without_edges(removed))
+            })
+            .collect();
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    /// Over seeded random closed types `P` with random removed sets
+    /// `R ⊆ edges(P)`, `eval_extensions` on `P \ R` (removing `R`) and on
+    /// `P` (removing nothing) equals [`eval_by_closure`], for conditions
+    /// whose conjuncts mix edges of `P`, complements of `P`'s edges and
+    /// fresh edges.  Every conjunct is tallied by how `eval_extensions`
+    /// settles it, and each kind must occur often.
+    fn check_short_circuits(name: &str, u: &ExprUniverse) {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let n = u.len() as ExprId;
+        let (mut held, mut contradicted, mut built) = (0, 0, 0);
+        for seed in 0..300 {
+            let Some(pit) = random_pit(u, seed) else {
+                continue;
+            };
+            let removed: HashSet<Edge> = pit
+                .edges()
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_range(0..4) == 0)
+                .collect();
+            let gapped = pit.without_edges(&removed);
+            let draw_edge = |rng: &mut StdRng| {
+                let kind = if pit.is_empty() {
+                    2
+                } else {
+                    rng.gen_range(0..3)
+                };
+                if kind < 2 {
+                    let edge = pit.edges()[rng.gen_range(0..pit.edge_count())];
+                    return if kind == 0 { edge } else { edge.complement() };
+                }
+                loop {
+                    let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    let edge = if rng.gen_range(0..2) == 0 {
+                        Edge::eq(a, b)
+                    } else {
+                        Edge::neq(a, b)
+                    };
+                    if a != b && !pit.contains(edge) && !pit.contains(edge.complement()) {
+                        return edge;
+                    }
+                }
+            };
+            for _ in 0..8 {
+                let conjuncts = (0..rng.gen_range(1..4))
+                    .map(|_| {
+                        (0..rng.gen_range(1..4))
+                            .map(|_| draw_edge(&mut rng))
+                            .collect()
+                    })
+                    .collect();
+                let compiled = CompiledCondition { conjuncts };
+                for (input, removed) in [(&gapped, &removed), (&pit, &HashSet::new())] {
+                    assert_eq!(
+                        eval_extensions(input, &compiled, u, removed),
+                        eval_by_closure(input, &compiled, u, removed),
+                        "{name}: seed {seed}, conjuncts {:?}",
+                        compiled.conjuncts
+                    );
+                    for conjunct in &compiled.conjuncts {
+                        if conjunct.iter().any(|e| input.contains(e.complement())) {
+                            contradicted += 1;
+                        } else if conjunct.iter().all(|e| input.contains(*e)) {
+                            held += 1;
+                        } else {
+                            built += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            held > 300 && contradicted > 300 && built > 300,
+            "{name}: weak sample ({held} held, {contradicted} contradicted, {built} built)"
+        );
+    }
+
+    #[test]
+    fn short_circuits_match_the_closure_on_example18() {
+        let (_spec, u) = example18();
+        check_short_circuits("example18", &u);
+    }
+
+    #[test]
+    fn short_circuits_match_the_closure_on_order_fulfillment() {
+        let spec = verifas_workloads::order_fulfillment();
+        let u = ExprUniverse::build(
+            &spec,
+            spec.root(),
+            &[],
+            &crate::transition::spec_constants(&spec),
+        );
+        check_short_circuits("order_fulfillment", &u);
     }
 
     #[test]

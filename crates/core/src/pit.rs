@@ -48,6 +48,11 @@ impl Edge {
         self.0 & 1 == 1
     }
 
+    /// The same pair with the other label (`a ≠ b` for `a = b`, and back).
+    pub fn complement(self) -> Edge {
+        Edge(self.0 ^ 1)
+    }
+
     /// The two endpoints (smaller id first).
     pub fn endpoints(self) -> (ExprId, ExprId) {
         (
@@ -543,7 +548,7 @@ fn merge_sort(a: ExprSort, b: ExprSort) -> ExprSort {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -556,7 +561,7 @@ mod tests {
 
     /// Schema R(ID, A) with variables x, y, z of type R.ID — the setting of
     /// Example 18 of the paper — plus two constants.
-    fn example18() -> (HasSpec, ExprUniverse) {
+    pub(crate) fn example18() -> (HasSpec, ExprUniverse) {
         let mut db = DatabaseSchema::new();
         let r = db.add_relation("R", vec![data("A")]).unwrap();
         let mut root = TaskBuilder::new("Root");
@@ -591,6 +596,8 @@ mod tests {
         assert_eq!(Edge::eq(3, 5).endpoints(), (3, 5));
         assert!(Edge::neq(1, 2).is_neq());
         assert!(!Edge::eq(1, 2).is_neq());
+        assert_eq!(Edge::eq(3, 5).complement(), Edge::neq(5, 3));
+        assert_eq!(Edge::neq(3, 5).complement(), Edge::eq(3, 5));
     }
 
     #[test]
@@ -740,7 +747,7 @@ mod tests {
     /// inconsistent.  Three in four partners share the first expression's
     /// domain (or are `null`), so most sets stay consistent long enough
     /// for congruence to matter.
-    fn random_pit(u: &ExprUniverse, seed: u64) -> Option<Pit> {
+    pub(crate) fn random_pit(u: &ExprUniverse, seed: u64) -> Option<Pit> {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = u.len();
         let domain = |id: usize| match u.expr(id as ExprId).sort {

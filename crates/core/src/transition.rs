@@ -279,6 +279,20 @@ impl SymbolicTask {
     /// that produced it.
     pub fn successors(&self, psi: &Psi, interner: &mut dyn InternTypes) -> Vec<(ServiceRef, Psi)> {
         let mut out = Vec::new();
+        // Internal pre-conditions are evaluated with nothing removed, and a
+        // state type has gaps where the static analysis dropped edges, so
+        // `eval_extensions` gets the closed state type there (its
+        // precondition).  The results are unchanged, because
+        // closure(A ∪ c) = closure(closure(A) ∪ c).
+        let closed;
+        let pre_input = if psi.no_child_active() && !self.static_removed.is_empty() {
+            closed = PitBuilder::from_pit(&self.universe, &psi.pit)
+                .finish()
+                .expect("a state type re-closes consistently");
+            &closed
+        } else {
+            &psi.pit
+        };
         for svc in &self.services {
             match &svc.kind {
                 ServiceKind::Internal {
@@ -290,7 +304,7 @@ impl SymbolicTask {
                     if !psi.no_child_active() {
                         continue;
                     }
-                    for tau0 in eval_extensions(&psi.pit, pre, &self.universe, &HashSet::new()) {
+                    for tau0 in eval_extensions(pre_input, pre, &self.universe, &HashSet::new()) {
                         let tau1 = tau0.project(|e| keep.contains(&e));
                         for tau2 in
                             eval_extensions(&tau1, post, &self.universe, &self.static_removed)
