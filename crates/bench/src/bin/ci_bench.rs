@@ -39,9 +39,8 @@
 //! warm (delta-loaded from a prior session — the unchanged slice carries
 //! its preprocessing and finished report across, so the re-check answers
 //! from the carried report).  `--min-incremental-speedup` gates the
-//! cold/warm ratio; a replay arm (renamed property, recorded enumerations
-//! replayed through the carried memo) is measured alongside, and both
-//! warm verdicts must be bit-identical to the cold one.
+//! cold/warm ratio, and the warm verdict must be bit-identical to the
+//! cold one.
 //!
 //! A seventh gate covers the state layout's candidate discovery: the
 //! million-state open/close lattice is searched single-threaded with
@@ -601,16 +600,9 @@ struct IncrementalRow {
     /// unchanged slice carries preprocessing and report), then the same
     /// `check` — answered from the carried report, no search.
     warm_millis: f64,
-    /// A replay iteration: delta-load in replay mode, then check a
-    /// *renamed* (otherwise identical) property — the report cache
-    /// misses, the search runs, the carried memo replays the recorded
-    /// spec-side enumerations.
-    replay_millis: f64,
     /// Edit-loop time ratio: cold / warm (the `--min-incremental-speedup`
     /// gate).
     speedup: f64,
-    /// Edit-loop time ratio: cold / replay.
-    replay_speedup: f64,
     /// Warm iteration throughput (the quantity the baseline regression
     /// gate compares).
     warm_iterations_per_sec: f64,
@@ -662,33 +654,19 @@ fn measure_incremental(args: &Args, failures: &mut Vec<String>) -> IncrementalRo
             VerifasEngine::load_delta(&prior, spec.clone(), ReuseMode::Preproc).unwrap();
         engine.check(&property).expect("cycle grid verifies")
     });
-    let recorder =
-        VerifasEngine::load_with_reuse(spec.clone(), options, ReuseMode::Replay).unwrap();
-    recorder.check(&property).expect("cycle grid verifies");
-    let mut renamed = property.clone();
-    renamed.name = format!("{}-edited", property.name);
-    let (replay_millis, replayed) = time_arm(&mut || {
-        let (engine, _) =
-            VerifasEngine::load_delta(&recorder, spec.clone(), ReuseMode::Replay).unwrap();
-        engine.check(&renamed).expect("cycle grid verifies")
-    });
-    // Determinism cross-check: both warm arms must reproduce the cold
+    // Determinism cross-check: the warm arm must reproduce the cold
     // verdict, witness and search size bit for bit.
-    for (arm, report) in [("warm", &warm), ("replay", &replayed)] {
-        if report.outcome != cold.outcome
-            || report.witness != cold.witness
-            || report.stats.states_created != cold.stats.states_created
-        {
-            failures.push(format!("{name}: {arm} incremental run diverged from cold"));
-        }
+    if warm.outcome != cold.outcome
+        || warm.witness != cold.witness
+        || warm.stats.states_created != cold.stats.states_created
+    {
+        failures.push(format!("{name}: warm incremental run diverged from cold"));
     }
     IncrementalRow {
         name,
         cold_millis,
         warm_millis,
-        replay_millis,
         speedup: cold_millis / warm_millis,
-        replay_speedup: cold_millis / replay_millis,
         warm_iterations_per_sec: 1_000.0 / warm_millis,
     }
 }
@@ -841,9 +819,7 @@ fn incremental_json(row: &IncrementalRow) -> Json {
         ("name".to_owned(), Json::Str(row.name.clone())),
         ("cold_millis".to_owned(), Json::Num(row.cold_millis)),
         ("warm_millis".to_owned(), Json::Num(row.warm_millis)),
-        ("replay_millis".to_owned(), Json::Num(row.replay_millis)),
         ("speedup".to_owned(), Json::Num(row.speedup)),
-        ("replay_speedup".to_owned(), Json::Num(row.replay_speedup)),
         (
             "warm_iterations_per_sec".to_owned(),
             Json::Num(row.warm_iterations_per_sec),
@@ -1200,14 +1176,12 @@ fn main() {
     );
     let incremental = measure_incremental(&args, &mut verdict_failures);
     println!(
-        "  {:<48} {:>12}          edit-loop: cold {:>9.1}ms  warm {:>9.3}ms  replay {:>9.1}ms  speedup {:.0}x / {:.2}x",
+        "  {:<48} {:>12}          edit-loop: cold {:>9.1}ms  warm {:>9.3}ms  speedup {:.0}x",
         incremental.name,
         "incremental",
         incremental.cold_millis,
         incremental.warm_millis,
-        incremental.replay_millis,
         incremental.speedup,
-        incremental.replay_speedup,
     );
     let layout = measure_layout(&args, &mut verdict_failures);
     println!(
@@ -1405,8 +1379,8 @@ fn main() {
             );
         } else {
             println!(
-                "incremental edit-loop speedup {:.0}x warm, {:.2}x replay (required {min:.2}x)",
-                incremental.speedup, incremental.replay_speedup
+                "incremental edit-loop speedup {:.0}x warm (required {min:.2}x)",
+                incremental.speedup
             );
         }
     }

@@ -6,34 +6,24 @@
 //! configuration) key and share them across the properties of a batch.
 //! [`crate::engine::Engine::load_delta`] promises the stronger inverse:
 //! artefacts of *unchanged* task slices are carried into the new session
-//! and provably **not** rebuilt, finished reports of unchanged requests
-//! are answered without a search, and (under
-//! [`crate::delta::ReuseMode::Replay`]) previously enumerated
-//! transitions are replayed from the [`crate::delta::TransitionMemo`]
-//! instead of recomputed.  These counters make every one of those
+//! and provably **not** rebuilt, and finished reports of unchanged
+//! requests are answered without a search.  These counters make those
 //! promises testable — and exportable on `verifas serve`'s `/metrics`:
 //!
 //! * [`universe_builds`] / [`spec_graph_builds`] — construction counts of
 //!   the two one-off preprocessing artefacts,
-//! * [`preps_carried`] / [`reports_carried`] — cache entries moved across
-//!   sessions by `Engine::load_delta`,
 //! * [`reports_reused`] — verification requests answered from a carried
-//!   report, with no search at all,
-//! * [`memo_hits`] / [`memo_misses`] — replay-mode transition
-//!   enumerations served from the memo vs computed (and recorded).
+//!   (or session-local) report, with no search at all.
 //!
-//! They exist for tests and diagnostics only — nothing in the verifier
-//! reads them.
+//! (What `load_delta` carries is counted per call in its
+//! [`crate::delta::DeltaSummary`].)  They exist for tests and
+//! diagnostics only — nothing in the verifier reads them.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub(crate) static UNIVERSE_BUILDS: AtomicUsize = AtomicUsize::new(0);
 pub(crate) static SPEC_GRAPH_BUILDS: AtomicUsize = AtomicUsize::new(0);
-pub(crate) static PREPS_CARRIED: AtomicUsize = AtomicUsize::new(0);
-pub(crate) static REPORTS_CARRIED: AtomicUsize = AtomicUsize::new(0);
 pub(crate) static REPORTS_REUSED: AtomicUsize = AtomicUsize::new(0);
-pub(crate) static MEMO_HITS: AtomicUsize = AtomicUsize::new(0);
-pub(crate) static MEMO_MISSES: AtomicUsize = AtomicUsize::new(0);
 
 /// Number of [`crate::expr::ExprUniverse::build`] calls so far in this
 /// process.
@@ -48,33 +38,8 @@ pub fn spec_graph_builds() -> usize {
     SPEC_GRAPH_BUILDS.load(Ordering::Relaxed)
 }
 
-/// Number of preprocessing cache entries carried across sessions by
-/// [`crate::engine::Engine::load_delta`] (each one is a universe +
-/// compiled-task + static-graph build that did **not** happen again).
-pub fn preps_carried() -> usize {
-    PREPS_CARRIED.load(Ordering::Relaxed)
-}
-
-/// Number of finished verification reports carried across sessions by
-/// [`crate::engine::Engine::load_delta`].
-pub fn reports_carried() -> usize {
-    REPORTS_CARRIED.load(Ordering::Relaxed)
-}
-
 /// Number of verification requests answered from a carried report
 /// without running any search.
 pub fn reports_reused() -> usize {
     REPORTS_REUSED.load(Ordering::Relaxed)
-}
-
-/// Number of spec-side successor enumerations replayed from a
-/// [`crate::delta::TransitionMemo`] (replay mode only).
-pub fn memo_hits() -> usize {
-    MEMO_HITS.load(Ordering::Relaxed)
-}
-
-/// Number of spec-side successor enumerations computed — and recorded —
-/// because the memo had not seen the instance (replay mode only).
-pub fn memo_misses() -> usize {
-    MEMO_MISSES.load(Ordering::Relaxed)
 }

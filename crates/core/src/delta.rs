@@ -17,37 +17,17 @@
 //!   and the spec-side constraint graph are bit-identical — which is what
 //!   lets `Engine::load_delta` carry them over instead of rebuilding.
 //! * [`ReuseMode`] — how much a delta-loaded engine may reuse:
-//!   [`ReuseMode::Cold`] (nothing), [`ReuseMode::Preproc`] (carried
+//!   [`ReuseMode::Cold`] (nothing) or [`ReuseMode::Preproc`] (carried
 //!   preprocessing + prior [`crate::report::VerificationReport`]s for
-//!   unchanged (task slice, property, options) keys) or
-//!   [`ReuseMode::Replay`] (additionally replay the prior searches'
-//!   enumerated transitions through a [`TransitionMemo`]).
-//! * [`TransitionMemo`] — the session-lifetime generalisation of the
-//!   search's per-run transition log: every spec-side `succ(I)`
-//!   enumeration is recorded, keyed by the *resolved* instance (the type,
-//!   the child-activation mask and the stored-tuple types backing the
-//!   counters — counter *values* provably do not affect which successors
-//!   exist, only the successor counters, which are recomputed on replay).
-//!   A re-verification after an edit replays every enumeration whose key
-//!   it reaches again and recomputes only instances the previous runs
-//!   never saw — "revalidate only subtrees whose enumerated successors
-//!   could have changed".  Replay is bit-identical to a cold enumeration
-//!   by construction: the recorded successors *are* the cold successors,
-//!   including the order and side effects of stored-type interning
-//!   (cross-checked against cold runs in `tests/incremental.rs`).
+//!   unchanged (task slice, property, options) keys).
 //!
-//! Reuse is observable through [`crate::counters`] (carried
-//! preprocessings, reused reports, memo hits/misses) so tests — and the
-//! `/metrics` endpoint of `verifas serve` — can assert that unchanged
-//! work was provably not redone.
+//! This module only *reports* which slices are unchanged; what a session
+//! carries over is decided by `Engine::load_delta` alone, which counts
+//! what it carried in a [`DeltaSummary`].
 
-use crate::pit::{Edge, Pit};
-use crate::psi::{InternTypes, Psi, StoredTypeId};
-use crate::transition::{spec_constants, SymbolicTask};
-use std::collections::HashMap;
+use crate::transition::spec_constants;
 use std::fmt;
-use std::sync::{Arc, Mutex, RwLock};
-use verifas_model::{ArtRelId, HasSpec, ServiceRef, TaskId};
+use verifas_model::{HasSpec, TaskId};
 
 /// How much a delta-loaded engine reuses from its predecessor session
 /// (see `Engine::load_delta`).
@@ -60,11 +40,6 @@ pub enum ReuseMode {
     /// session's reports.
     #[default]
     Preproc,
-    /// [`ReuseMode::Preproc`] plus transition-level replay: record every
-    /// spec-side successor enumeration in a [`TransitionMemo`] and replay
-    /// it — instead of recomputing it — whenever a later search reaches
-    /// the same resolved instance again.
-    Replay,
 }
 
 impl ReuseMode {
@@ -73,7 +48,6 @@ impl ReuseMode {
         match self {
             ReuseMode::Cold => "cold",
             ReuseMode::Preproc => "preproc",
-            ReuseMode::Replay => "replay",
         }
     }
 
@@ -82,7 +56,6 @@ impl ReuseMode {
         match name {
             "cold" => Some(ReuseMode::Cold),
             "preproc" => Some(ReuseMode::Preproc),
-            "replay" => Some(ReuseMode::Replay),
             _ => None,
         }
     }
@@ -148,25 +121,12 @@ pub fn slice_hash(spec: &HasSpec, task: TaskId) -> u64 {
     fingerprint(rendering.as_str())
 }
 
-/// The per-task entry of a [`SpecDelta`]: which facets of the task
-/// definition changed, and whether its whole *slice* (the reuse unit —
-/// see [`slice_hash`]) is untouched.
+/// The per-task entry of a [`SpecDelta`]: whether the task's whole
+/// *slice* (the reuse unit — see [`slice_hash`]) is untouched.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskDelta {
     /// The task's name in the new specification.
     pub name: String,
-    /// `true` iff the task exists in the new spec but not (at this id,
-    /// with this name) in the old one.
-    pub added: bool,
-    /// Task-local schema changed: variables, input/output variables or
-    /// artifact relations.
-    pub schema_changed: bool,
-    /// Internal services changed (including any pre/post condition).
-    pub services_changed: bool,
-    /// Opening or closing guard changed.
-    pub guards_changed: bool,
-    /// Some descendant task changed (or the descendant set itself did).
-    pub subtree_changed: bool,
     /// `true` iff the task's whole slice hash is unchanged — the
     /// condition under which its preprocessing and reports carry over.
     pub unchanged: bool,
@@ -178,76 +138,24 @@ pub struct TaskDelta {
 pub struct SpecDelta {
     /// Per-task deltas, indexed by the new spec's [`TaskId`]s.
     pub tasks: Vec<TaskDelta>,
-    /// Tasks of the old spec with no counterpart (same id, same name) in
-    /// the new one.
-    pub removed_tasks: usize,
-    /// The database schema changed.
-    pub schema_changed: bool,
-    /// The global pre-condition changed.
-    pub global_pre_changed: bool,
-    /// The specification was renamed.
-    pub renamed: bool,
 }
 
 impl SpecDelta {
-    /// Diff `new` against `old`.
+    /// Diff `new` against `old`.  A task is matched by id, name and
+    /// parent; an unmatched task is never unchanged.
     pub fn diff(old: &HasSpec, new: &HasSpec) -> SpecDelta {
-        let mut tasks = Vec::with_capacity(new.tasks.len());
-        for (id, task) in new.iter_tasks() {
-            let old_task = old
-                .tasks
-                .get(id.index())
-                .filter(|t| t.name == task.name && t.parent == task.parent);
-            let entry = match old_task {
-                None => TaskDelta {
-                    name: task.name.clone(),
-                    added: true,
-                    schema_changed: true,
-                    services_changed: true,
-                    guards_changed: true,
-                    subtree_changed: true,
-                    unchanged: false,
-                },
-                Some(o) => TaskDelta {
-                    name: task.name.clone(),
-                    added: false,
-                    schema_changed: fingerprint(&(
-                        &task.vars,
-                        &task.input_vars,
-                        &task.output_vars,
-                        &task.art_relations,
-                    )) != fingerprint(&(
-                        &o.vars,
-                        &o.input_vars,
-                        &o.output_vars,
-                        &o.art_relations,
-                    )),
-                    services_changed: fingerprint(&task.services) != fingerprint(&o.services),
-                    guards_changed: fingerprint(&(&task.opening, &task.closing))
-                        != fingerprint(&(&o.opening, &o.closing)),
-                    subtree_changed: {
-                        let mut nd = new.descendants(id);
-                        let mut od = old.descendants(id);
-                        nd.sort();
-                        od.sort();
-                        nd != od
-                            || nd
-                                .iter()
-                                .any(|&d| fingerprint(new.task(d)) != fingerprint(old.task(d)))
-                    },
-                    unchanged: slice_hash(new, id) == slice_hash(old, id),
-                },
-            };
-            tasks.push(entry);
-        }
-        let matched = tasks.iter().filter(|t| !t.added).count();
-        SpecDelta {
-            tasks,
-            removed_tasks: old.tasks.len().saturating_sub(matched),
-            schema_changed: fingerprint(&new.db) != fingerprint(&old.db),
-            global_pre_changed: fingerprint(&new.global_pre) != fingerprint(&old.global_pre),
-            renamed: new.name != old.name,
-        }
+        let tasks = new
+            .iter_tasks()
+            .map(|(id, task)| TaskDelta {
+                name: task.name.clone(),
+                unchanged: old
+                    .tasks
+                    .get(id.index())
+                    .is_some_and(|o| o.name == task.name && o.parent == task.parent)
+                    && slice_hash(new, id) == slice_hash(old, id),
+            })
+            .collect();
+        SpecDelta { tasks }
     }
 
     /// `true` iff `task` (a new-spec id) has an unchanged slice, so its
@@ -283,260 +191,6 @@ pub struct DeltaSummary {
     pub preps_carried: usize,
     /// Finished verification reports carried over.
     pub reports_carried: usize,
-}
-
-/// Order-independent fingerprint of the static-analysis result: the memo
-/// of a task is scoped per *removed-edge set* because
-/// [`SymbolicTask::successors`] reads it while enumerating (the set is
-/// property-dependent).
-pub(crate) fn static_removed_fingerprint(removed: &std::collections::HashSet<Edge>) -> u64 {
-    let mut edges: Vec<Edge> = removed.iter().copied().collect();
-    edges.sort();
-    fingerprint(&edges)
-}
-
-/// How one recorded successor's counters relate to its source instance.
-/// Counter *values* are recomputed on replay from the live instance, so a
-/// recorded enumeration applies to every instance with the same resolved
-/// support — including ω-accelerated variants the recording run never saw.
-#[derive(Debug, Clone)]
-enum CounterOp {
-    /// Counters unchanged (also covers insertions into and retrievals
-    /// from an ω counter, which leave the vector bitwise intact; in the
-    /// insertion case the interned type is then necessarily already
-    /// shared, so skipping the intern call is side-effect-free).
-    Same,
-    /// An insertion: intern the stored type and increment its counter.
-    /// Replaying the intern call reproduces the recording run's interner
-    /// side effects (provisional-id allocation, per-node new-type lists)
-    /// exactly, which the deterministic publication order depends on.
-    Insert(ArtRelId, Pit),
-    /// A retrieval: decrement the counter at this position of the source
-    /// instance's (id-ordered) counter support.
-    Decrement(usize),
-}
-
-/// One recorded spec-side successor.
-#[derive(Debug, Clone)]
-struct MemoSuccessor {
-    service: ServiceRef,
-    pit: Pit,
-    child_active: u64,
-    op: CounterOp,
-}
-
-/// The key of one recorded enumeration: the *resolved* partial symbolic
-/// instance.  Counter ids are search-local, so the key stores the stored
-/// types themselves (in counter-iteration order — the enumeration order
-/// of retrieval successors follows it).  Finite counter *values* are
-/// deliberately excluded (see [`CounterOp`]), but each entry's ω-ness is
-/// part of the key: the recorded op for an insertion into (or retrieval
-/// from) an ω counter is [`CounterOp::Same`], which is only exact for
-/// instances that are ω at the same position.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct MemoKey {
-    pit: Pit,
-    child_active: u64,
-    support: Vec<(ArtRelId, Pit, bool)>,
-}
-
-/// A recorded enumeration map for one (task preprocessing, removed-edge
-/// set) pair.  Shared by every search of the session (and, through
-/// `Engine::load_delta`, by later sessions whose task slice is
-/// unchanged); concurrent lookups from parallel plan workers take the
-/// read lock.
-pub struct MemoScope {
-    map: RwLock<HashMap<MemoKey, Arc<Vec<MemoSuccessor>>>>,
-}
-
-/// Recorded enumerations beyond this many keys are discarded instead of
-/// stored (the memo is a pure cache; a runaway search must not hold the
-/// whole state space in it twice).
-const MEMO_SCOPE_CAPACITY: usize = 1 << 20;
-
-impl MemoScope {
-    fn new() -> Self {
-        MemoScope {
-            map: RwLock::new(HashMap::new()),
-        }
-    }
-
-    /// Number of recorded enumerations.
-    pub fn len(&self) -> usize {
-        read_ignoring_poison(&self.map).len()
-    }
-
-    /// `true` iff nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The spec-side successor enumeration of `psi`, replayed from the
-    /// memo when this resolved instance was enumerated before, computed
-    /// (and recorded) by `task` otherwise.  Bit-identical to
-    /// [`SymbolicTask::successors`] in both results and interner side
-    /// effects.
-    pub(crate) fn successors(
-        &self,
-        task: &SymbolicTask,
-        psi: &Psi,
-        interner: &mut dyn InternTypes,
-    ) -> Vec<(ServiceRef, Psi)> {
-        let ids: Vec<StoredTypeId> = psi.counters.iter().map(|(t, _)| t).collect();
-        let support: Vec<(ArtRelId, Pit, bool)> = psi
-            .counters
-            .iter()
-            .map(|(t, c)| {
-                let (rel, pit) = interner.get(t).clone();
-                (rel, pit, c == crate::psi::OMEGA)
-            })
-            .collect();
-        let key = MemoKey {
-            pit: psi.pit.clone(),
-            child_active: psi.child_active,
-            support,
-        };
-        let recorded = read_ignoring_poison(&self.map).get(&key).cloned();
-        if let Some(recorded) = recorded {
-            crate::counters::MEMO_HITS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return recorded
-                .iter()
-                .map(|m| {
-                    let counters = match &m.op {
-                        CounterOp::Same => psi.counters.clone(),
-                        CounterOp::Insert(rel, pit) => {
-                            let id = interner.intern(*rel, pit.clone());
-                            psi.counters.incremented(id)
-                        }
-                        CounterOp::Decrement(pos) => psi
-                            .counters
-                            .decremented(ids[*pos])
-                            .expect("recorded retrieval position has a positive count"),
-                    };
-                    (
-                        m.service,
-                        Psi {
-                            pit: m.pit.clone(),
-                            counters,
-                            child_active: m.child_active,
-                        },
-                    )
-                })
-                .collect();
-        }
-        crate::counters::MEMO_MISSES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let succs = task.successors(psi, interner);
-        let recorded: Vec<MemoSuccessor> = succs
-            .iter()
-            .map(|(service, s)| MemoSuccessor {
-                service: *service,
-                pit: s.pit.clone(),
-                child_active: s.child_active,
-                op: diff_counters(psi, s, &ids, interner),
-            })
-            .collect();
-        let mut map = write_ignoring_poison(&self.map);
-        if map.len() < MEMO_SCOPE_CAPACITY {
-            map.insert(key, Arc::new(recorded));
-        }
-        succs
-    }
-}
-
-impl fmt::Debug for MemoScope {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MemoScope")
-            .field("entries", &self.len())
-            .finish()
-    }
-}
-
-/// Reconstruct the counter operation of one successor by diffing its
-/// counter vector against the source's.  At most one counter changes per
-/// service application; a bitwise-equal vector replays as
-/// [`CounterOp::Same`] (see there for why that is exact even for ω
-/// insertions).
-fn diff_counters(
-    source: &Psi,
-    succ: &Psi,
-    source_ids: &[StoredTypeId],
-    interner: &dyn crate::psi::TypeTable,
-) -> CounterOp {
-    if succ.counters == source.counters {
-        return CounterOp::Same;
-    }
-    // Exactly one id's count moved: up by one (insert) or down (retrieve).
-    for (id, count) in succ.counters.iter() {
-        if count > source.counters.get(id) {
-            let (rel, pit) = interner.get(id).clone();
-            return CounterOp::Insert(rel, pit);
-        }
-    }
-    for (pos, &id) in source_ids.iter().enumerate() {
-        if succ.counters.get(id) < source.counters.get(id) {
-            return CounterOp::Decrement(pos);
-        }
-    }
-    unreachable!("successor counters differ from the source but no entry moved")
-}
-
-/// The transition memo of one task preprocessing: recorded spec-side
-/// enumerations, scoped per static-analysis removed-edge fingerprint
-/// (the removed set is property-dependent and read during enumeration).
-#[derive(Default)]
-pub struct TransitionMemo {
-    scopes: Mutex<HashMap<u64, Arc<MemoScope>>>,
-}
-
-impl TransitionMemo {
-    /// A fresh, empty memo.
-    pub fn new() -> Self {
-        TransitionMemo::default()
-    }
-
-    /// The scope for one removed-edge fingerprint (created on first use).
-    pub(crate) fn scope(&self, static_removed_fp: u64) -> Arc<MemoScope> {
-        let mut scopes = self
-            .scopes
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        Arc::clone(
-            scopes
-                .entry(static_removed_fp)
-                .or_insert_with(|| Arc::new(MemoScope::new())),
-        )
-    }
-
-    /// Total recorded enumerations across all scopes (diagnostic).
-    pub fn len(&self) -> usize {
-        let scopes = self
-            .scopes
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        scopes.values().map(|s| s.len()).sum()
-    }
-
-    /// `true` iff nothing has been recorded in any scope.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl fmt::Debug for TransitionMemo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TransitionMemo")
-            .field("entries", &self.len())
-            .finish()
-    }
-}
-
-fn read_ignoring_poison<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn write_ignoring_poison<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    lock.write()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[cfg(test)]
@@ -575,12 +229,8 @@ mod tests {
         let spec = two_task_spec("Ok");
         let delta = SpecDelta::diff(&spec, &spec.clone());
         assert_eq!(delta.tasks.len(), 2);
-        assert!(delta.tasks.iter().all(|t| t.unchanged && !t.added));
+        assert!(delta.tasks.iter().all(|t| t.unchanged));
         assert_eq!(delta.unchanged_tasks(), 2);
-        assert_eq!(delta.removed_tasks, 0);
-        assert!(!delta.schema_changed);
-        assert!(!delta.global_pre_changed);
-        assert!(!delta.renamed);
         assert!(delta.compatible());
     }
 
@@ -590,18 +240,11 @@ mod tests {
         let new = two_task_spec("Changed");
         let delta = SpecDelta::diff(&old, &new);
         // The child's own guard changed, and the root's slice includes
-        // its subtree, so nothing is reusable...
-        let root = &delta.tasks[0];
-        assert!(!root.unchanged);
-        assert!(root.subtree_changed);
-        // ...but the root's local facets are untouched.
-        assert!(!root.schema_changed);
-        assert!(!root.services_changed);
-        assert!(!root.guards_changed);
-        let child = &delta.tasks[1];
-        assert!(!child.unchanged);
-        assert!(child.guards_changed);
-        assert!(!child.services_changed);
+        // its subtree, so nothing is reusable.
+        assert!(!delta.tasks[0].unchanged);
+        assert!(!delta.task_unchanged(TaskId::new(0)));
+        assert!(!delta.tasks[1].unchanged);
+        assert!(!delta.task_unchanged(TaskId::new(1)));
         // The constant "Changed" enters the spec constants, which every
         // slice observes — so incompatibility is expected here.
         assert!(!delta.compatible());
@@ -618,7 +261,6 @@ mod tests {
             Condition::eq(Term::var(verifas_model::VarId::new(0)), Term::str("Ok")),
         ]);
         let delta = SpecDelta::diff(&old, &new);
-        assert!(delta.tasks[0].services_changed);
         assert!(!delta.tasks[0].unchanged);
         assert!(delta.tasks[1].unchanged, "child slice must survive");
         assert!(delta.compatible());
@@ -632,15 +274,15 @@ mod tests {
         let mut renamed = old.clone();
         renamed.name = "delta2".to_owned();
         let delta = SpecDelta::diff(&old, &renamed);
-        assert!(delta.renamed);
         // The spec name is part of every slice (reports embed it).
         assert_eq!(delta.unchanged_tasks(), 0);
+        assert!(!delta.compatible());
 
         let mut reschema = old.clone();
         reschema.db.add_relation("S", vec![data("b")]).unwrap();
         let delta = SpecDelta::diff(&old, &reschema);
-        assert!(delta.schema_changed);
         assert_eq!(delta.unchanged_tasks(), 0);
+        assert!(!delta.compatible());
     }
 
     #[test]
@@ -653,11 +295,25 @@ mod tests {
             SpecBuilder::new("delta", db, root.build()).build().unwrap()
         };
         let two = two_task_spec("Ok");
+        // An added task is never unchanged, and its parent's subtree moved.
         let grown = SpecDelta::diff(&one, &two);
-        assert!(grown.tasks[1].added);
-        assert_eq!(grown.removed_tasks, 0);
+        assert_eq!(grown.tasks.len(), 2);
+        assert!(!grown.task_unchanged(TaskId::new(1)));
+        assert!(!grown.compatible());
+        // A removed task is gone from the diff, and its parent's subtree
+        // moved with it.
         let shrunk = SpecDelta::diff(&two, &one);
-        assert_eq!(shrunk.removed_tasks, 1);
+        assert_eq!(shrunk.tasks.len(), 1);
+        assert!(!shrunk.compatible());
+    }
+
+    #[test]
+    fn reuse_modes_round_trip_by_name() {
+        for mode in [ReuseMode::Cold, ReuseMode::Preproc] {
+            assert_eq!(ReuseMode::from_name(mode.name()), Some(mode));
+            assert_eq!(mode.to_string(), mode.name());
+        }
+        assert_eq!(ReuseMode::from_name("replay"), None);
     }
 
     #[test]

@@ -45,9 +45,7 @@
 //! println!("{}", report.to_json());
 //! ```
 
-use crate::delta::{
-    fingerprint, static_removed_fingerprint, DeltaSummary, ReuseMode, SpecDelta, TransitionMemo,
-};
+use crate::delta::{fingerprint, DeltaSummary, ReuseMode, SpecDelta};
 use crate::error::VerifasError;
 use crate::expr::ExprUniverse;
 use crate::observer::{CancelToken, ProgressEvent, ProgressObserver, SearchControl};
@@ -87,11 +85,6 @@ struct PrepKey {
 struct TaskPreprocessing {
     task: SymbolicTask,
     spec_graph: std::sync::OnceLock<ConstraintGraph>,
-    /// Replay-mode transition memo (see [`crate::delta`]).  Lives with the
-    /// preprocessing so [`Engine::load_delta`] carries recorded
-    /// enumerations across sessions exactly when the compiled task itself
-    /// carries over; empty unless a replay-mode request recorded into it.
-    memo: TransitionMemo,
 }
 
 impl TaskPreprocessing {
@@ -173,15 +166,11 @@ impl Engine {
 
     /// [`Engine::load_with_options`] with an explicit [`ReuseMode`].
     ///
-    /// A non-[`ReuseMode::Cold`] engine answers repeated identical
+    /// A [`ReuseMode::Preproc`] engine answers repeated identical
     /// requests from its report cache (without re-running the search —
-    /// no progress events are emitted for such answers), and under
-    /// [`ReuseMode::Replay`] additionally records every spec-side
-    /// transition enumeration so that later searches — of this session or
-    /// of a [`Engine::load_delta`] successor — replay instead of
-    /// recompute.  Results are bit-identical to a cold engine's in every
-    /// mode (modulo wall-clock fields); the modes only change how much
-    /// work producing them takes.
+    /// no progress events are emitted for such answers).  Results are
+    /// bit-identical to a cold engine's in both modes; the modes only
+    /// change how much work producing them takes.
     pub fn load_with_reuse(
         spec: HasSpec,
         options: VerifierOptions,
@@ -202,14 +191,13 @@ impl Engine {
     /// Load an edited specification as the successor of a prior session,
     /// carrying over everything the structural [`SpecDelta`] proves
     /// untouched: the spec-side preprocessing (expression universe,
-    /// compiled symbolic task, static-analysis graph — and, under
-    /// [`ReuseMode::Replay`], the recorded transition enumerations) of
-    /// every task whose slice is unchanged, plus the finished reports of
-    /// unchanged (task, property, options) requests, which later
-    /// identical requests answer without any search.
+    /// compiled symbolic task, static-analysis graph) of every task whose
+    /// slice is unchanged, plus the finished reports of unchanged (task,
+    /// property, options) requests, which later identical requests answer
+    /// without any search.
     ///
-    /// Nothing is rebuilt for carried entries — see
-    /// [`crate::counters::preps_carried`] — and nothing changed is ever
+    /// Nothing is rebuilt for carried entries — the returned
+    /// [`DeltaSummary`] counts them — and nothing changed is ever
     /// carried: the slice hash (see [`crate::delta::slice_hash`]) covers
     /// the full dependency cone of each compiled artefact.  With
     /// [`ReuseMode::Cold`] this is equivalent to a fresh
@@ -251,9 +239,6 @@ impl Engine {
                 }
             }
         }
-        use std::sync::atomic::Ordering;
-        crate::counters::PREPS_CARRIED.fetch_add(summary.preps_carried, Ordering::Relaxed);
-        crate::counters::REPORTS_CARRIED.fetch_add(summary.reports_carried, Ordering::Relaxed);
         Ok((engine, summary))
     }
 
@@ -439,7 +424,6 @@ impl Engine {
         let prep = Arc::new(TaskPreprocessing {
             task,
             spec_graph: std::sync::OnceLock::new(),
-            memo: TransitionMemo::new(),
         });
         cache.insert(key, Arc::clone(&prep));
         prep
@@ -475,13 +459,6 @@ impl Engine {
                 .with_property(property, &product.task.universe);
             let removed = graph.non_violating_edges(&product.task.universe);
             product.set_static_removed(removed);
-        }
-        if self.reuse == ReuseMode::Replay {
-            // Scope the memo to the final removed-edge set (recorded
-            // successors are only valid under the removed set they were
-            // enumerated with), after `set_static_removed` above.
-            let fp = static_removed_fingerprint(&product.task.static_removed);
-            product.set_memo(prep.memo.scope(fp));
         }
         let mut result = run_phases(
             &product,
@@ -1176,24 +1153,6 @@ mod tests {
         assert_eq!(engine.cached_preprocessings(), 2);
     }
 
-    /// Zero the wall-clock-dependent report fields (the only ones that may
-    /// legitimately differ between a cold and an incremental run).
-    fn scrubbed(mut report: VerificationReport) -> VerificationReport {
-        report.stats.elapsed_ms = 0;
-        if let Some(stats) = &mut report.repeated_stats {
-            stats.elapsed_ms = 0;
-        }
-        if let Some(cycle) = &mut report.repeated_cycle {
-            cycle.edge_micros = 0;
-            cycle.scc_micros = 0;
-        }
-        for worker in &mut report.workers {
-            worker.busy_micros = 0;
-        }
-        report.schedule = None;
-        report
-    }
-
     #[test]
     fn load_delta_carries_preprocessing_and_reports() {
         let spec = flow_spec();
@@ -1271,35 +1230,5 @@ mod tests {
         // The edited engine still verifies correctly from scratch.
         let report = warm.check(&never("stale", &edited, "Done")).unwrap();
         assert_eq!(report.outcome, VerificationOutcome::Violated);
-    }
-
-    #[test]
-    fn replay_mode_records_and_replays_bit_identically() {
-        let spec = flow_spec();
-        let property = never("replayed", &spec, "Done");
-        let cold = Engine::load(spec.clone())
-            .unwrap()
-            .check(&property)
-            .unwrap();
-
-        let prior =
-            Engine::load_with_reuse(spec.clone(), VerifierOptions::default(), ReuseMode::Replay)
-                .unwrap();
-        let first = prior.check(&property).unwrap();
-        assert_eq!(scrubbed(first), scrubbed(cold.clone()));
-
-        // Carry the recorded enumerations into a successor session and
-        // force a real search there with a renamed (otherwise identical)
-        // property: the report cache misses, the memo hits.
-        let (warm, summary) = Engine::load_delta(&prior, spec.clone(), ReuseMode::Replay).unwrap();
-        assert_eq!(summary.preps_carried, 1);
-        let hits_before = crate::counters::memo_hits();
-        let mut replayed = warm.check(&never("replayed-2", &spec, "Done")).unwrap();
-        assert!(
-            crate::counters::memo_hits() > hits_before,
-            "the carried memo must serve enumerations"
-        );
-        replayed.property = "replayed".to_owned();
-        assert_eq!(scrubbed(replayed), scrubbed(cold));
     }
 }

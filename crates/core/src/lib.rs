@@ -28,8 +28,8 @@
 //!   shared pool and degrade to a typed error instead of an OOM abort,
 //! * [`verifier`] — the verification options and results, and the
 //!   two-phase run behind the engine,
-//! * [`delta`] — structural spec diffing and the transition memo behind
-//!   incremental re-verification ([`engine::Engine::load_delta`]),
+//! * [`delta`] — structural spec diffing behind incremental
+//!   re-verification ([`engine::Engine::load_delta`]),
 //! * [`baseline`] — the unoptimised baseline standing in for the Spin-based
 //!   verifier of the paper.
 //!

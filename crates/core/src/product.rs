@@ -20,13 +20,11 @@
 //! automaton state).  Infinite violations are accepting cycles found by the
 //! repeated-reachability analysis.
 
-use crate::delta::MemoScope;
 use crate::eval::{compile_condition, extend_all, CompiledCondition};
 use crate::pit::Pit;
 use crate::psi::{InternTypes, Psi, StoredTypeId};
 use crate::transition::SymbolicTask;
 use std::collections::HashSet;
-use std::sync::Arc;
 use verifas_ltl::{LtlFoProperty, PropAtom, PropertyAutomaton};
 use verifas_model::{Condition, HasSpec, ModelError, ServiceRef};
 
@@ -98,10 +96,6 @@ pub struct ProductSystem {
     prop_pos: Vec<Option<CompiledCondition>>,
     prop_neg: Vec<Option<CompiledCondition>>,
     prop_service: Vec<Option<ServiceRef>>,
-    /// Replay-mode transition memo (see [`crate::delta`]): when set, every
-    /// spec-side successor enumeration is served from — or recorded into —
-    /// the session's [`MemoScope`] for this task and removed-edge set.
-    memo: Option<Arc<MemoScope>>,
 }
 
 impl ProductSystem {
@@ -177,22 +171,12 @@ impl ProductSystem {
             prop_pos,
             prop_neg,
             prop_service,
-            memo: None,
         }
     }
 
     /// Set the non-violating edges computed by the static analysis.
     pub fn set_static_removed(&mut self, removed: HashSet<crate::pit::Edge>) {
         self.task.static_removed = removed;
-    }
-
-    /// Install a replay-mode transition memo.  Must be scoped to the
-    /// *final* removed-edge set (install after
-    /// [`ProductSystem::set_static_removed`]): the removed set is read
-    /// during enumeration, so recorded successors are only valid under the
-    /// removed set they were recorded with.
-    pub(crate) fn set_memo(&mut self, memo: Arc<MemoScope>) {
-        self.memo = Some(memo);
     }
 
     /// `true` iff the automaton state of a product state is accepting
@@ -298,16 +282,7 @@ impl ProductSystem {
         if state.closed {
             return;
         }
-        // The spec-side enumeration dominates the cost of a product step;
-        // in replay mode it is served from the session memo when this
-        // resolved instance was enumerated before (bit-identical by
-        // construction — see `crate::delta`).  The automaton composition
-        // below is cheap and always recomputed.
-        let spec_succs = match &self.memo {
-            Some(memo) => memo.successors(&self.task, &state.psi, interner),
-            None => self.task.successors(&state.psi, interner),
-        };
-        for (service, psi) in spec_succs {
+        for (service, psi) in self.task.successors(&state.psi, interner) {
             let closes = self.task.is_own_closing(service);
             for &q in &self.automaton.buchi.transitions[state.buchi] {
                 for pit in self.enforce_label(q, service, vec![psi.pit.clone()]) {

@@ -14,9 +14,8 @@
 //!   repeated-reachability oracle, reached through the engine's hidden
 //!   `check_with_reference_phase2` entry (verdict/witness compare only:
 //!   the reference emits no cycle statistics),
-//! * [`OracleArm::IncrementalPreproc`] / [`OracleArm::IncrementalReplay`]
-//!   — `Engine::load_delta` from a mutated predecessor spec, in each
-//!   [`ReuseMode`],
+//! * [`OracleArm::IncrementalPreproc`] — `Engine::load_delta` from a
+//!   mutated predecessor spec in [`ReuseMode::Preproc`],
 //! * [`OracleArm::Serve`] — the spec text submitted through an
 //!   in-process `verifas serve` gateway, reports read back from the
 //!   response frames.
@@ -24,7 +23,9 @@
 //! All comparisons are exact on the report's deterministic core:
 //! verdict, witness, search statistics, repeated-reachability statistics
 //! (timing, thread-count and candidate-count fields zeroed, exactly as
-//! the parallel-determinism suite does).
+//! the parallel-determinism suite does).  An error in a baseline slot is
+//! a harness error, not a comparison: a panic or debug assertion that
+//! fires in every arm would otherwise read as agreement.
 
 use crate::gen::gen_spec_file;
 use std::sync::Mutex;
@@ -47,20 +48,17 @@ pub enum OracleArm {
     ReferenceRepeated,
     /// `Engine::load_delta` in [`ReuseMode::Preproc`] vs a cold load.
     IncrementalPreproc,
-    /// `Engine::load_delta` in [`ReuseMode::Replay`] vs a cold load.
-    IncrementalReplay,
     /// Served over an in-process gateway vs direct `check_all`.
     Serve,
 }
 
 impl OracleArm {
     /// Every arm, in the order the matrix runs them.
-    pub const ALL: [OracleArm; 6] = [
+    pub const ALL: [OracleArm; 5] = [
         OracleArm::Threads,
         OracleArm::IndexOff,
         OracleArm::ReferenceRepeated,
         OracleArm::IncrementalPreproc,
-        OracleArm::IncrementalReplay,
         OracleArm::Serve,
     ];
 
@@ -71,7 +69,6 @@ impl OracleArm {
             OracleArm::IndexOff => "index",
             OracleArm::ReferenceRepeated => "repeated",
             OracleArm::IncrementalPreproc => "preproc",
-            OracleArm::IncrementalReplay => "replay",
             OracleArm::Serve => "serve",
         }
     }
@@ -212,7 +209,6 @@ fn compare(baseline: &ArmReports, arm_reports: &ArmReports, strict: Strictness) 
                     ));
                 }
             }
-            (Err(base), Err(arm)) if base == arm => {}
             (base, arm) => {
                 return Some(format!(
                     "property #{index}: baseline {} vs arm {}",
@@ -289,7 +285,6 @@ fn incremental_reports(
     file: &SpecFile,
     source: &str,
     options: VerifierOptions,
-    mode: ReuseMode,
 ) -> Result<ArmReports, String> {
     let prior_source = format_spec(&predecessor(file));
     let prior_compiled =
@@ -299,8 +294,8 @@ fn incremental_reports(
     // Warm the prior engine's caches so the delta has something to carry.
     let _ = prior.check_all(&prior_compiled.properties);
     let compiled = compile(source).map_err(|e| format!("compile failed: {e}"))?;
-    let (engine, _summary) =
-        Engine::load_delta(&prior, compiled.spec, mode).map_err(|e| format!("load_delta: {e}"))?;
+    let (engine, _summary) = Engine::load_delta(&prior, compiled.spec, ReuseMode::Preproc)
+        .map_err(|e| format!("load_delta: {e}"))?;
     Ok(engine
         .check_all(&compiled.properties)
         .into_iter()
@@ -394,10 +389,7 @@ fn arm_reports(
             false,
         ),
         OracleArm::ReferenceRepeated => engine_reports(base, source, true),
-        OracleArm::IncrementalPreproc => {
-            incremental_reports(file, source, base, ReuseMode::Preproc)
-        }
-        OracleArm::IncrementalReplay => incremental_reports(file, source, base, ReuseMode::Replay),
+        OracleArm::IncrementalPreproc => incremental_reports(file, source, base),
         OracleArm::Serve => served_reports(source, config.limits),
     }
 }
@@ -409,10 +401,23 @@ fn strictness(arm: OracleArm) -> Strictness {
     }
 }
 
+/// The first error slot of the baseline, as a message naming its
+/// property (compiled properties keep declaration order).
+fn baseline_error(file: &SpecFile, baseline: &ArmReports) -> Option<String> {
+    baseline.iter().enumerate().find_map(|(index, slot)| {
+        let message = slot.as_ref().err()?;
+        let name = file.properties.get(index).map_or("?", |p| p.name.as_str());
+        Some(format!(
+            "baseline error on property #{index} ({name}): {message}"
+        ))
+    })
+}
+
 /// Run the full configured matrix over one spec AST.  `Ok(None)` means
 /// every arm agreed with the baseline; `Ok(Some(_))` is a divergence;
 /// `Err(_)` means the spec failed to print/compile/load at all (a
-/// generator or front-end bug — also worth a repro).
+/// generator or front-end bug — also worth a repro), or the baseline
+/// returned an error for some property.
 pub fn check_spec_file(
     file: &SpecFile,
     seed: u64,
@@ -420,6 +425,9 @@ pub fn check_spec_file(
 ) -> Result<Option<Divergence>, String> {
     let source = format_spec(file);
     let baseline = engine_reports(baseline_options(config.limits), &source, false)?;
+    if let Some(error) = baseline_error(file, &baseline) {
+        return Err(error);
+    }
     for &arm in &config.arms {
         let mut reports = arm_reports(arm, file, &source, config)?;
         if config.corrupt == Some(arm) {
@@ -440,4 +448,27 @@ pub fn check_spec_file(
 /// Generate the spec for `seed` and run it through the matrix.
 pub fn run_seed(seed: u64, config: &FuzzConfig) -> Result<Option<Divergence>, String> {
     check_spec_file(&gen_spec_file(seed), seed, config)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_baseline_error_is_a_harness_error_naming_its_property() {
+        let file = gen_spec_file(0);
+        let names: Vec<&str> = file.properties.iter().map(|p| p.name.as_str()).collect();
+        assert!(names.len() >= 2, "seed 0 declares several properties");
+        let mut baseline: ArmReports = engine_reports(
+            baseline_options(FuzzConfig::default().limits),
+            &format_spec(&file),
+            false,
+        )
+        .unwrap();
+        assert_eq!(baseline_error(&file, &baseline), None);
+        baseline[1] = Err("verification worker panicked: boom".to_owned());
+        let error = baseline_error(&file, &baseline).expect("the error slot is reported");
+        assert!(error.contains(names[1]), "{error}");
+        assert!(error.contains("boom"), "{error}");
+    }
 }

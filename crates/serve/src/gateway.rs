@@ -58,9 +58,7 @@ pub struct ServeConfig {
     /// How much an edited spec reuses from a delta-compatible cached
     /// session (see [`verifas_core::ReuseMode`]).  The default,
     /// [`ReuseMode::Preproc`], carries preprocessing and finished
-    /// reports; [`ReuseMode::Cold`] disables upgrades entirely;
-    /// [`ReuseMode::Replay`] additionally records and replays transition
-    /// enumerations.
+    /// reports; [`ReuseMode::Cold`] disables upgrades entirely.
     pub reuse: ReuseMode,
     /// Soft server-wide memory budget, in bytes.  When non-zero, live
     /// search state is byte-accounted against one shared
@@ -424,41 +422,28 @@ impl Gateway {
             &[],
             self.memory.as_ref().map_or(0, MemoryBudget::used_bytes) as u64,
         );
-        // Incremental-reuse counters (process-wide, from the core's
-        // counter registry — session upgrades are what drive them here).
+        // What this server's session upgrades carried over.
         type_line(&mut out, "verifas_delta_preps_carried_total", "counter");
         write_metric(
             &mut out,
             "verifas_delta_preps_carried_total",
             &[],
-            verifas_core::counters::preps_carried() as u64,
+            stats.preps_carried,
         );
         type_line(&mut out, "verifas_delta_reports_carried_total", "counter");
         write_metric(
             &mut out,
             "verifas_delta_reports_carried_total",
             &[],
-            verifas_core::counters::reports_carried() as u64,
+            stats.reports_carried,
         );
+        // Process-wide, from the core's counter registry.
         type_line(&mut out, "verifas_delta_reports_reused_total", "counter");
         write_metric(
             &mut out,
             "verifas_delta_reports_reused_total",
             &[],
             verifas_core::counters::reports_reused() as u64,
-        );
-        type_line(&mut out, "verifas_delta_memo_enumerations_total", "counter");
-        write_metric(
-            &mut out,
-            "verifas_delta_memo_enumerations_total",
-            &[("result", "hit")],
-            verifas_core::counters::memo_hits() as u64,
-        );
-        write_metric(
-            &mut out,
-            "verifas_delta_memo_enumerations_total",
-            &[("result", "miss")],
-            verifas_core::counters::memo_misses() as u64,
         );
         out
     }
@@ -563,7 +548,7 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verifas_core::Json;
+    use verifas_core::{Engine, Json};
 
     const SPEC: &str = r#"
 spec "tiny";
@@ -674,26 +659,56 @@ property "reaches-done" on Root {
 }
 "#;
 
+    /// The value of one unlabelled series in a `/metrics` text.
+    fn series(text: &str, name: &str) -> Option<u64> {
+        text.lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+    }
+
     #[test]
     fn an_edited_spec_upgrades_a_compatible_session() {
+        // A property on the child gives the upgrade something to carry.
+        let pair = format!(
+            "{PAIR}property \"child-done\" on Child {{\n    formula: F {{ result == \"Done\" }};\n}}\n"
+        );
         let gateway = Gateway::new(ServeConfig::default());
-        let (_, _) = collected(&gateway, &request(PAIR));
+        let (_, _) = collected(&gateway, &request(&pair));
         // A root-local edit leaves the child slice reusable: the session
         // cache upgrades the prior engine instead of cold-loading.
-        let edited = PAIR.replace(
+        let edited = pair.replace(
             "pre: status == null;",
             "pre: status == null || status == \"Done\";",
         );
-        assert_ne!(edited, PAIR);
+        assert_ne!(edited, pair);
         let (frames, summary) = collected(&gateway, &request(&edited));
         let first = Json::parse(&frames[0]).unwrap();
         assert_eq!(first.get("session").and_then(Json::as_str), Some("miss"));
         assert_eq!(first.get("reuse").and_then(Json::as_str), Some("preproc"));
-        assert_eq!(summary.completed, 1);
+        assert_eq!(summary.completed, 2);
         let stats = gateway.sessions().stats();
         assert_eq!(stats.upgrades, 1);
+        assert_eq!((stats.preps_carried, stats.reports_carried), (1, 1));
         let text = gateway.metrics_text();
         assert!(text.contains("verifas_session_cache_upgrades_total 1"));
+        let carried = |text: &str| {
+            (
+                series(text, "verifas_delta_preps_carried_total"),
+                series(text, "verifas_delta_reports_carried_total"),
+            )
+        };
+        assert_eq!(
+            carried(&text),
+            (Some(stats.preps_carried), Some(stats.reports_carried))
+        );
+
+        // A delta load outside the gateway is not this server's work.
+        let compiled = compile(&edited).unwrap();
+        let direct = Engine::load(compiled.spec.clone()).unwrap();
+        direct.check_all(&compiled.properties);
+        let (_, direct_summary) =
+            Engine::load_delta(&direct, compiled.spec, ReuseMode::Preproc).unwrap();
+        assert!(direct_summary.preps_carried > 0);
+        assert_eq!(carried(&gateway.metrics_text()), carried(&text));
 
         // An incompatible edit (schema change) falls back to a cold load.
         let reschema = PAIR.replace("relation R(a: data);", "relation R(a: data, b: data);");

@@ -165,8 +165,8 @@ pub fn queued_frame(id: RequestId, class: PriorityClass, position: usize, retry_
 ///
 /// `session` reports the cache lookup (`hit` / `miss`); `reuse` refines
 /// it with the delta-reuse kind — `session` (exact hit), `cold` (fresh
-/// load), or `preproc` / `replay` (a delta-compatible session was
-/// upgraded in that [`verifas_core::ReuseMode`]).
+/// load), or `preproc` (a delta-compatible session was upgraded in
+/// [`verifas_core::ReuseMode::Preproc`]).
 pub fn admitted_frame(
     id: RequestId,
     spec_hash: &str,

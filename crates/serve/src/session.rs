@@ -36,6 +36,12 @@ pub struct SessionCacheStats {
     /// Misses resolved by upgrading a delta-compatible cached session
     /// (a subset of `misses`).
     pub upgrades: u64,
+    /// Preprocessing entries those upgrades carried over instead of
+    /// rebuilding (summed [`DeltaSummary::preps_carried`]).
+    pub preps_carried: u64,
+    /// Finished reports those upgrades carried over (summed
+    /// [`DeltaSummary::reports_carried`]).
+    pub reports_carried: u64,
     /// Sessions evicted to make room.
     pub evictions: u64,
     /// Sessions currently cached.
@@ -82,6 +88,8 @@ pub struct SessionCache {
     hits: AtomicU64,
     misses: AtomicU64,
     upgrades: AtomicU64,
+    preps_carried: AtomicU64,
+    reports_carried: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -103,6 +111,8 @@ impl SessionCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             upgrades: AtomicU64::new(0),
+            preps_carried: AtomicU64::new(0),
+            reports_carried: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -233,13 +243,16 @@ impl SessionCache {
                 Some(base) => {
                     let (engine, summary) = Engine::load_delta(base, spec, mode)?;
                     self.upgrades.fetch_add(1, Ordering::Relaxed);
+                    self.preps_carried
+                        .fetch_add(summary.preps_carried as u64, Ordering::Relaxed);
+                    self.reports_carried
+                        .fetch_add(summary.reports_carried as u64, Ordering::Relaxed);
                     reuse = SessionReuse::Delta(summary);
                     engine
                 }
                 // No usable base — but keep the engine in the configured
                 // reuse mode, so repeated identical requests against this
-                // session answer from its report cache (and, under
-                // replay, record enumerations for future upgrades).
+                // session answer from its report cache.
                 None => {
                     Engine::load_with_reuse(spec, verifas_core::VerifierOptions::default(), mode)?
                 }
@@ -266,6 +279,8 @@ impl SessionCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             upgrades: self.upgrades.load(Ordering::Relaxed),
+            preps_carried: self.preps_carried.load(Ordering::Relaxed),
+            reports_carried: self.reports_carried.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             cached: lock_ignoring_poison(&self.inner).len(),
         }

@@ -47,10 +47,9 @@
 //! hashes plus report fingerprints) in the output document; a later
 //! `check --base out.json` on the *edited* spec reuses every prior
 //! report whose task slice, property and options are provably unchanged
-//! and verifies only the rest.  `--incremental cold` disables reuse,
+//! and verifies only the rest.  `--incremental cold` disables reuse, and
 //! `preproc` (the default with `--base`) also shares preprocessing
-//! within the run, and `replay` additionally memoizes transition
-//! enumerations across the run's searches.
+//! within the run.
 //! Exit codes: 0 — every requested verification completed (whatever the
 //! verdict); 1 — `fmt --check` found unformatted input; 2 — any error
 //! (parse, resolution, I/O, usage).
@@ -93,7 +92,7 @@ options:
   --prop NAME        check only the named property (check only)
   --base PRIOR.json  check: reuse reports from a prior `--json` snapshot
                      whose task slice / property / options are unchanged
-  --incremental MODE reuse mode: `cold`, `preproc` or `replay` (check:
+  --incremental MODE reuse mode: `cold` or `preproc` (check:
                      default `preproc` when --base is given, else `cold`;
                      serve: default `preproc`)
   --all-props        verify every property (batch; this is the default)
@@ -120,7 +119,7 @@ options:
   --retries N        submit: attempts on `overloaded`/reset (default 5)
   --seeds A..B       fuzz: half-open seed range to sweep (default 0..256)
   --matrix ARMS      fuzz: comma-separated oracle arms (default: all of
-                     threads,index,repeated,preproc,replay,serve)
+                     threads,index,repeated,preproc,serve)
   --shrink           fuzz: minimize each divergence to a small repro
   --repro-dir DIR    fuzz: write each divergence's `.has` repro to DIR";
 
@@ -250,9 +249,7 @@ fn parse_options(args: &[String], needs_file: bool) -> Result<Options, String> {
             "--incremental" => {
                 let name = value_of("--incremental", &mut iter)?;
                 options.incremental = Some(ReuseMode::from_name(&name).ok_or_else(|| {
-                    format!(
-                        "error: --incremental must be `cold`, `preproc` or `replay`, not {name:?}"
-                    )
+                    format!("error: --incremental must be `cold` or `preproc`, not {name:?}")
                 })?)
             }
             "--threads" => {

@@ -3,11 +3,9 @@
 //! service condition, add a property, rename an alias) is verified twice
 //! at every step — once cold, once incrementally from the previous
 //! step's engine via `Engine::load_delta` — and the reports must be
-//! bit-identical modulo wall-clock fields, in both `preproc` and
-//! `replay` reuse modes.  A targeted two-task scenario then proves
-//! through `verifas::core::counters` that the preprocessing of an
-//! unchanged task is carried, not rebuilt, and that the replay memo
-//! actually serves enumerations across the delta.
+//! bit-identical modulo wall-clock fields.  A targeted two-task scenario
+//! then proves through `verifas::core::counters` that the preprocessing
+//! of an unchanged task is carried, not rebuilt.
 //!
 //! This file deliberately contains a single `#[test]`: the construction
 //! and reuse counters are process-wide, and integration-test binaries
@@ -171,39 +169,38 @@ fn assert_edit_scripts_are_bit_identical() {
     for (name, source) in corpus() {
         let root = root_name(&compile(&name, &source));
         let steps = edit_script(&source, &root);
-        for mode in [ReuseMode::Preproc, ReuseMode::Replay] {
-            let mut warm: Option<Engine> = None;
-            for (label, text) in &steps {
-                let step = format!("{name}[{label}]");
-                let compiled = compile(&step, text);
-                let cold = Engine::load_with_options(compiled.spec.clone(), options()).unwrap();
-                let next = match &warm {
-                    None => {
-                        Engine::load_with_reuse(compiled.spec.clone(), options(), mode).unwrap()
-                    }
-                    Some(prior) => {
-                        Engine::load_delta(prior, compiled.spec.clone(), mode)
-                            .unwrap()
-                            .0
-                    }
-                };
-                for property in &compiled.properties {
-                    let from_cold = cold.check(property).unwrap();
-                    let from_warm = next.check(property).unwrap();
-                    assert_eq!(
-                        comparable(&from_cold),
-                        comparable(&from_warm),
-                        "{step} {:?} ({mode:?}): incremental must be bit-identical to cold",
-                        property.name
-                    );
-                    assert_ne!(
-                        from_cold.outcome,
-                        VerificationOutcome::Inconclusive,
-                        "{step}"
-                    );
+        let mut warm: Option<Engine> = None;
+        for (label, text) in &steps {
+            let step = format!("{name}[{label}]");
+            let compiled = compile(&step, text);
+            let cold = Engine::load_with_options(compiled.spec.clone(), options()).unwrap();
+            let next = match &warm {
+                None => {
+                    Engine::load_with_reuse(compiled.spec.clone(), options(), ReuseMode::Preproc)
+                        .unwrap()
                 }
-                warm = Some(next);
+                Some(prior) => {
+                    Engine::load_delta(prior, compiled.spec.clone(), ReuseMode::Preproc)
+                        .unwrap()
+                        .0
+                }
+            };
+            for property in &compiled.properties {
+                let from_cold = cold.check(property).unwrap();
+                let from_warm = next.check(property).unwrap();
+                assert_eq!(
+                    comparable(&from_cold),
+                    comparable(&from_warm),
+                    "{step} {:?}: incremental must be bit-identical to cold",
+                    property.name
+                );
+                assert_ne!(
+                    from_cold.outcome,
+                    VerificationOutcome::Inconclusive,
+                    "{step}"
+                );
             }
+            warm = Some(next);
         }
     }
 }
@@ -282,32 +279,8 @@ fn assert_unchanged_preprocessing_is_not_rebuilt() {
     );
 }
 
-/// Replay mode: enumerations recorded before the edit are replayed by
-/// the carried memo after it, and the replayed search is bit-identical
-/// to a cold one on the edited spec.
-fn assert_replay_memo_serves_across_the_delta() {
-    let (base, edited) = referee_scenario();
-    let prior = Engine::load_with_reuse(base.spec.clone(), options(), ReuseMode::Replay).unwrap();
-    prior.check(property(&base, "referee-probe")).unwrap();
-
-    let (warm, summary) =
-        Engine::load_delta(&prior, edited.spec.clone(), ReuseMode::Replay).unwrap();
-    assert_eq!(summary.preps_carried, 1);
-
-    let hits_before = counters::memo_hits();
-    let replayed = warm.check(property(&edited, "referee-probe-2")).unwrap();
-    assert!(
-        counters::memo_hits() > hits_before,
-        "the carried memo must serve enumerations across the delta"
-    );
-    let cold = Engine::load_with_options(edited.spec.clone(), options()).unwrap();
-    let from_cold = cold.check(property(&edited, "referee-probe-2")).unwrap();
-    assert_eq!(comparable(&from_cold), comparable(&replayed));
-}
-
 #[test]
 fn edit_scripts_verify_bit_identically_and_reuse_preprocessing() {
     assert_edit_scripts_are_bit_identical();
     assert_unchanged_preprocessing_is_not_rebuilt();
-    assert_replay_memo_serves_across_the_delta();
 }

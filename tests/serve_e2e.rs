@@ -7,16 +7,16 @@
 //! and machine-sharing fields) to a direct `Engine::check_all` of the
 //! same properties — including when an interactive request lands
 //! mid-batch and steals cores from the running searches.  These tests
-//! pin exactly that, plus the cache-reuse guarantee (a re-submitted
-//! spec builds zero new preprocessing, observed through
-//! `verifas::core::counters`), admission queueing with typed overflow
-//! refusals, server-side cancellation, shutdown and client-disconnect
-//! resource reclamation, and the HTTP front end.
+//! pin exactly that, plus session reuse (a re-submitted spec lands on
+//! the cached session; `serve_session_reuse.rs` checks, in a process of
+//! its own, that it builds no new preprocessing), admission queueing
+//! with typed overflow refusals, server-side cancellation, shutdown and
+//! client-disconnect resource reclamation, and the HTTP front end.
 
 use std::path::Path;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use verifas::core::{counters, Json};
+use verifas::core::Json;
 use verifas::prelude::*;
 use verifas::serve::{AdmissionLimits, Gateway, PriorityClass, ServeConfig, Server, VerifyRequest};
 use verifas::ReuseMode;
@@ -139,20 +139,13 @@ fn resubmitted_spec_reuses_cached_session_and_matches_direct_check_all() {
     }
 
     // Re-submitting the same spec — reformatted, so the *text* differs —
-    // lands on the cached session and builds no new preprocessing.
-    let universe_before = counters::universe_builds();
-    let graph_before = counters::spec_graph_builds();
+    // lands on the cached session.
     let reformatted = format!("// resubmission with different formatting\n{source}\n\n");
     let frames = collect(&gateway, &request(&reformatted, PriorityClass::Interactive));
     assert_eq!(
         frames[0].get("session").and_then(Json::as_str),
         Some("hit"),
         "format-equivalent spec must share the session"
-    );
-    assert_eq!(
-        (counters::universe_builds(), counters::spec_graph_builds()),
-        (universe_before, graph_before),
-        "a cached session must serve the batch with zero new preprocessing"
     );
     for (index, report) in &streamed_reports(&frames) {
         assert_eq!(

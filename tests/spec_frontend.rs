@@ -3,7 +3,8 @@
 //! verifies; the two ported real workloads (loan approval, order
 //! fulfillment) lower *bit-identically* to their programmatic builders —
 //! same `HasSpec`, same `LtlFoProperty`, and same verdict, witness and
-//! search statistics when run through the engine.
+//! search statistics when run through the engine.  The `verifas` binary
+//! rejects an unknown `--incremental` mode with a usage error.
 
 use std::path::{Path, PathBuf};
 use verifas::prelude::*;
@@ -288,4 +289,20 @@ fn frontend_errors_are_typed_and_spanned() {
         }
         other => panic!("expected a Spec error, got {other:?}"),
     }
+}
+
+#[test]
+fn check_rejects_an_unknown_incremental_mode() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_verifas"))
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .args(["check", "examples/specs/conference_review.has"])
+        .args(["--incremental", "replay"])
+        .output()
+        .expect("the verifas binary runs");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("`cold`") && stderr.contains("`preproc`"),
+        "{stderr}"
+    );
 }
