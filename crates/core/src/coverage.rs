@@ -6,6 +6,7 @@
 
 use crate::product::StateView;
 use crate::psi::{CounterVec, StoredTypeId, TypeTable, OMEGA};
+use std::cell::RefCell;
 
 /// Which order the search uses to prune covered states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,8 +118,10 @@ pub fn covers(
 /// addition leave at least that much unused capacity on the right
 /// (Definition 31).  An `ω` count weighs `2^40` on either side.
 ///
-/// The answer is the max-flow test below, but most calls are settled
-/// before a network exists, in this order:
+/// The answer is whether the bipartite network source → left (capacity =
+/// count) → right along implication (no capacity limit) → sink (capacity
+/// = count) carries a flow of value `demand`.  Most calls are settled
+/// before any flow is routed, in this order:
 ///
 /// 1. the totals: no demand needs only `supply ≥ slack`, and a supply
 ///    below `demand + slack` fails;
@@ -127,6 +130,14 @@ pub fn covers(
 /// 3. per-type reachability (Hall's condition for one type): a left type
 ///    whose count exceeds the summed capacity of the right types it
 ///    implies cannot be placed.
+///
+/// A call past the three exits places the left entries' counts one
+/// entry at a time along breadth-first augmenting paths, in buffers each
+/// thread reuses, so it allocates nothing once its thread has made such
+/// a call.  The answer is `false` as soon as an entry with count left
+/// over has no augmenting path (the left entries that search reaches
+/// then violate Hall's condition), and `true` once every entry is
+/// placed.
 pub fn flow_feasible(
     left: &[(StoredTypeId, u32)],
     right: &[(StoredTypeId, u32)],
@@ -147,42 +158,162 @@ pub fn flow_feasible(
     if slice_leq(left, right) {
         return true;
     }
-    // The (left, right) index pairs with the left stored type implying the
-    // right one in the same artifact relation: the middle edges of the
-    // network, computed once.
-    let mut implied: Vec<(usize, usize)> = Vec::new();
-    for (i, &(lt, lc)) in left.iter().enumerate() {
-        let (lrel, lpit) = interner.get(lt);
-        let mut reach = 0;
-        for (j, &(rt, rc)) in right.iter().enumerate() {
-            let (rrel, rpit) = interner.get(rt);
-            if lrel == rrel && lpit.implies(rpit) {
-                implied.push((i, j));
-                reach += count_value(rc);
+    FLOW.with(|network| network.borrow_mut().feasible(left, right, interner))
+}
+
+thread_local! {
+    /// The buffers of [`flow_feasible`]'s augmenting-path step.
+    static FLOW: RefCell<FlowNetwork> = const { RefCell::new(FlowNetwork::new()) };
+}
+
+/// Marks a (left, right) pair without a middle edge in
+/// [`FlowNetwork::flow`].
+const NO_EDGE: i64 = -1;
+/// Marks a node the breadth-first search has not reached.
+const UNSEEN: u32 = u32::MAX;
+
+/// The residual network of one ≼ test, in buffers reused across tests.
+/// Nodes are numbered left entries first, then right entries.
+struct FlowNetwork {
+    /// Flow on each middle edge, row-major by left entry, or [`NO_EDGE`]
+    /// where the left type does not imply the right one.
+    flow: Vec<i64>,
+    /// The unused capacity of each right entry's sink edge.
+    spare: Vec<i64>,
+    /// The breadth-first predecessor of each node, or [`UNSEEN`].
+    prev: Vec<u32>,
+    queue: Vec<u32>,
+    /// Augmentations that moved flow back along a middle edge.
+    #[cfg(test)]
+    back_edge_augmentations: usize,
+}
+
+impl FlowNetwork {
+    const fn new() -> Self {
+        FlowNetwork {
+            flow: Vec::new(),
+            spare: Vec::new(),
+            prev: Vec::new(),
+            queue: Vec::new(),
+            #[cfg(test)]
+            back_edge_augmentations: 0,
+        }
+    }
+
+    /// Steps 3 and on of [`flow_feasible`]: list the middle edges, check
+    /// every left type's reach, then route the left counts.
+    fn feasible(
+        &mut self,
+        left: &[(StoredTypeId, u32)],
+        right: &[(StoredTypeId, u32)],
+        interner: &dyn TypeTable,
+    ) -> bool {
+        self.flow.clear();
+        for &(lt, lc) in left {
+            let (lrel, lpit) = interner.get(lt);
+            let mut reach = 0;
+            for &(rt, rc) in right {
+                let (rrel, rpit) = interner.get(rt);
+                if lrel == rrel && lpit.implies(rpit) {
+                    reach += count_value(rc);
+                    self.flow.push(0);
+                } else {
+                    self.flow.push(NO_EDGE);
+                }
+            }
+            if count_value(lc) > reach {
+                return false;
             }
         }
-        if count_value(lc) > reach {
-            return false;
+        self.spare.clear();
+        self.spare
+            .extend(right.iter().map(|&(_, c)| count_value(c)));
+        for (root, &(_, count)) in left.iter().enumerate() {
+            let mut need = count_value(count);
+            while need > 0 {
+                let Some(end) = self.augmenting_path(root, left.len()) else {
+                    return false;
+                };
+                need -= self.augment(root, end, need, left.len());
+            }
         }
+        true
     }
-    // Max-flow on the bipartite graph: source -> left (capacity = count),
-    // left -> right along `implied`, right -> sink (capacity = count).
-    let n = 2 + left.len() + right.len();
-    let source = 0;
-    let sink = 1;
-    let left_node = |i: usize| 2 + i;
-    let right_node = |j: usize| 2 + left.len() + j;
-    let mut flow = MaxFlow::new(n);
-    for (i, (_, c)) in left.iter().enumerate() {
-        flow.add_edge(source, left_node(i), count_value(*c));
+
+    /// Breadth-first search of the residual network from left entry
+    /// `root`: forward along every middle edge, back along a middle edge
+    /// that carries flow.  Returns the first right entry reached whose
+    /// sink edge has spare capacity.
+    fn augmenting_path(&mut self, root: usize, lefts: usize) -> Option<usize> {
+        let width = self.spare.len();
+        self.prev.clear();
+        self.prev.resize(lefts + width, UNSEEN);
+        self.prev[root] = root as u32;
+        self.queue.clear();
+        self.queue.push(root as u32);
+        let mut head = 0;
+        while let Some(&node) = self.queue.get(head) {
+            head += 1;
+            let node = node as usize;
+            if node < lefts {
+                let row = &self.flow[node * width..(node + 1) * width];
+                for (j, &flow) in row.iter().enumerate() {
+                    if flow != NO_EDGE && self.prev[lefts + j] == UNSEEN {
+                        self.prev[lefts + j] = node as u32;
+                        if self.spare[j] > 0 {
+                            return Some(j);
+                        }
+                        self.queue.push((lefts + j) as u32);
+                    }
+                }
+            } else {
+                let j = node - lefts;
+                for i in 0..lefts {
+                    if self.flow[i * width + j] > 0 && self.prev[i] == UNSEEN {
+                        self.prev[i] = node as u32;
+                        self.queue.push(i as u32);
+                    }
+                }
+            }
+        }
+        None
     }
-    for (j, (_, c)) in right.iter().enumerate() {
-        flow.add_edge(right_node(j), sink, count_value(*c));
+
+    /// Push flow from `root` to the sink along the path the last search
+    /// found to right entry `end`: as much as `need`, the sink edge's spare
+    /// capacity and the flow on every back edge allow.  Returns the amount.
+    fn augment(&mut self, root: usize, end: usize, need: i64, lefts: usize) -> i64 {
+        let width = self.spare.len();
+        // Walk the path from its right end: right entry `j` was reached
+        // from left entry `i`, which was reached back from right entry
+        // `prev[i]` unless it is the root.
+        let mut amount = need.min(self.spare[end]);
+        let mut j = end;
+        loop {
+            let i = self.prev[lefts + j] as usize;
+            if i == root {
+                break;
+            }
+            j = self.prev[i] as usize - lefts;
+            amount = amount.min(self.flow[i * width + j]);
+        }
+        self.spare[end] -= amount;
+        let mut j = end;
+        loop {
+            let i = self.prev[lefts + j] as usize;
+            self.flow[i * width + j] += amount;
+            if i == root {
+                break;
+            }
+            j = self.prev[i] as usize - lefts;
+            self.flow[i * width + j] -= amount;
+        }
+        #[cfg(test)]
+        {
+            self.back_edge_augmentations += usize::from(self.prev[lefts + end] as usize != root);
+        }
+        amount
     }
-    for &(i, j) in &implied {
-        flow.add_edge(left_node(i), right_node(j), BIG);
-    }
-    flow.max_flow(source, sink) >= demand
 }
 
 /// The Karp–Miller acceleration: compare a candidate state against an
@@ -251,89 +382,6 @@ pub fn accelerate(
                 None
             }
         }
-    }
-}
-
-/// A small Dinic-style max-flow (BFS levels + DFS blocking flow), adequate
-/// for the tiny bipartite networks produced by the ≼ test.
-struct MaxFlow {
-    graph: Vec<Vec<usize>>,
-    to: Vec<usize>,
-    cap: Vec<i64>,
-}
-
-impl MaxFlow {
-    fn new(n: usize) -> Self {
-        MaxFlow {
-            graph: vec![Vec::new(); n],
-            to: Vec::new(),
-            cap: Vec::new(),
-        }
-    }
-
-    fn add_edge(&mut self, from: usize, to: usize, cap: i64) {
-        let e = self.to.len();
-        self.graph[from].push(e);
-        self.to.push(to);
-        self.cap.push(cap);
-        self.graph[to].push(e + 1);
-        self.to.push(from);
-        self.cap.push(0);
-    }
-
-    fn bfs(&self, source: usize, sink: usize) -> Option<Vec<i32>> {
-        let mut level = vec![-1; self.graph.len()];
-        level[source] = 0;
-        let mut queue = std::collections::VecDeque::from([source]);
-        while let Some(u) = queue.pop_front() {
-            for &e in &self.graph[u] {
-                let v = self.to[e];
-                if self.cap[e] > 0 && level[v] < 0 {
-                    level[v] = level[u] + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        if level[sink] >= 0 {
-            Some(level)
-        } else {
-            None
-        }
-    }
-
-    fn dfs(&mut self, u: usize, sink: usize, pushed: i64, level: &[i32], it: &mut [usize]) -> i64 {
-        if u == sink {
-            return pushed;
-        }
-        while it[u] < self.graph[u].len() {
-            let e = self.graph[u][it[u]];
-            let v = self.to[e];
-            if self.cap[e] > 0 && level[v] == level[u] + 1 {
-                let d = self.dfs(v, sink, pushed.min(self.cap[e]), level, it);
-                if d > 0 {
-                    self.cap[e] -= d;
-                    self.cap[e ^ 1] += d;
-                    return d;
-                }
-            }
-            it[u] += 1;
-        }
-        0
-    }
-
-    fn max_flow(&mut self, source: usize, sink: usize) -> i64 {
-        let mut total = 0;
-        while let Some(level) = self.bfs(source, sink) {
-            let mut it = vec![0usize; self.graph.len()];
-            loop {
-                let pushed = self.dfs(source, sink, i64::MAX, &level, &mut it);
-                if pushed == 0 {
-                    break;
-                }
-                total += pushed;
-            }
-        }
-        total
     }
 }
 
@@ -589,27 +637,141 @@ mod tests {
         if weight(right) < weight(left) + slack {
             return false;
         }
-        let implies = |l: StoredTypeId, r: StoredTypeId| {
-            let ((lrel, lpit), (rrel, rpit)) = (interner.get(l), interner.get(r));
-            lrel == rrel && lpit.implies(rpit)
-        };
+        // The right entries each left entry implies, as a bit mask.
+        let implied: Vec<u32> = left
+            .iter()
+            .map(|&(l, _)| {
+                let (lrel, lpit) = interner.get(l);
+                (0..right.len())
+                    .filter(|&j| {
+                        let (rrel, rpit) = interner.get(right[j].0);
+                        lrel == rrel && lpit.implies(rpit)
+                    })
+                    .fold(0, |mask, j| mask | 1 << j)
+            })
+            .collect();
         (1..1u32 << left.len()).all(|set| {
-            let members: Vec<&(StoredTypeId, u32)> = (0..left.len())
-                .filter(|i| set & (1 << i) != 0)
-                .map(|i| &left[i])
-                .collect();
-            let reached = right
-                .iter()
-                .filter(|(r, _)| members.iter().any(|(l, _)| implies(*l, *r)));
-            weight(members.iter().copied()) <= weight(reached)
+            let members = (0..left.len()).filter(|i| set & (1 << i) != 0);
+            let reached = members.clone().fold(0, |mask, i| mask | implied[i]);
+            let demand = weight(members.map(|i| &left[i]));
+            let supply = weight(
+                (0..right.len())
+                    .filter(|j| reached & (1 << j) != 0)
+                    .map(|j| &right[j]),
+            );
+            demand <= supply
         })
     }
 
-    /// `flow_feasible` equals [`halls_condition`] on random counter vectors
-    /// of 0–4 entries (counts 1–3 or `ω`) over random stored types of two
-    /// relations, at slack 0 and 1.  The sample must hold cases the
-    /// identity mapping decides, cases with a single unplaceable type, and
-    /// infeasible cases that only a set of two or more types exposes.
+    /// Stored types of two relations: each relation's empty type and the
+    /// seeded random types of [`crate::pit::tests::random_pit`].
+    fn stored_types(u: &ExprUniverse, interner: &mut StoredTypeInterner) -> Vec<StoredTypeId> {
+        let mut types = vec![
+            interner.intern(ArtRelId::new(0), Pit::empty()),
+            interner.intern(ArtRelId::new(1), Pit::empty()),
+        ];
+        for seed in 0..60 {
+            if let Some(pit) = crate::pit::tests::random_pit(u, seed) {
+                types.push(interner.intern(ArtRelId::new(seed as u32 % 2), pit));
+            }
+        }
+        types.sort_unstable();
+        types.dedup();
+        types
+    }
+
+    /// A sorted counter vector over `types`: `len` draws (duplicates
+    /// merged), each counting 1 to `max` or `ω` with probability
+    /// `1 / (max + 1)`.
+    fn draw_counters(
+        rng: &mut StdRng,
+        types: &[StoredTypeId],
+        len: usize,
+        max: u32,
+    ) -> Vec<(StoredTypeId, u32)> {
+        let mut entries: Vec<(StoredTypeId, u32)> = (0..len)
+            .map(|_| {
+                let count = match rng.gen_range(0..max + 1) {
+                    0 => OMEGA,
+                    c => c,
+                };
+                (types[rng.gen_range(0..types.len())], count)
+            })
+            .collect();
+        entries.sort_unstable_by_key(|(t, _)| *t);
+        entries.dedup_by_key(|(t, _)| *t);
+        entries
+    }
+
+    /// How the cases of [`compare_with_halls`] that the totals leave open
+    /// were settled.
+    #[derive(Debug, Default)]
+    struct Tally {
+        /// By the identity mapping.
+        identity: usize,
+        /// By one left type that cannot be placed on its own.
+        unplaceable: usize,
+        /// By routing flow, feasible.
+        network_feasible: usize,
+        /// By routing flow, infeasible: only a set of two or more left
+        /// types exposes these.
+        network_infeasible: usize,
+        /// Augmentations that moved flow back along a middle edge.
+        back_edge_augmentations: usize,
+    }
+
+    /// Asserts that `flow_feasible` equals [`halls_condition`] at slack 0
+    /// and 1 on `cases` pairs from `draw`, and tallies how the cases were
+    /// settled.
+    fn compare_with_halls(
+        interner: &StoredTypeInterner,
+        cases: usize,
+        mut draw: impl FnMut() -> Vec<(StoredTypeId, u32)>,
+    ) -> Tally {
+        let back_edges = || FLOW.with(|network| network.borrow().back_edge_augmentations);
+        let start = back_edges();
+        let mut tally = Tally::default();
+        for _ in 0..cases {
+            let (left, right) = (draw(), draw());
+            for slack in [0, 1] {
+                let expected = halls_condition(&left, &right, interner, slack);
+                assert_eq!(
+                    flow_feasible(&left, &right, interner, slack),
+                    expected,
+                    "left {left:?}, right {right:?}, slack {slack}"
+                );
+                if left.is_empty() || weight(&right) < weight(&left) + slack {
+                    continue;
+                }
+                if slice_leq(&left, &right) {
+                    tally.identity += 1;
+                } else if left
+                    .iter()
+                    .any(|entry| !halls_condition(&[*entry], &right, interner, 0))
+                {
+                    tally.unplaceable += 1;
+                } else if expected {
+                    tally.network_feasible += 1;
+                } else {
+                    tally.network_infeasible += 1;
+                }
+            }
+        }
+        tally.back_edge_augmentations = back_edges() - start;
+        tally
+    }
+
+    /// `flow_feasible` equals [`halls_condition`] on random counter
+    /// vectors over random stored types of two relations, at slack 0 and
+    /// 1, in two samples:
+    ///
+    /// * 0–4 entries per side (counts 1–3 or `ω`), which must hold cases
+    ///   the identity mapping decides, cases with a single unplaceable
+    ///   type, and infeasible cases that only a set of two or more types
+    ///   exposes;
+    /// * 5–10 entries per side (counts 1–5 or `ω`), which must hold
+    ///   feasible and infeasible networks past the early exits, and
+    ///   augmenting paths that move flow back along a middle edge.
     ///
     /// This pins today's `ω` arithmetic: `ω` weighs 2^40, so for instance
     /// two `ω` types never fit into one `ω` type.
@@ -617,61 +779,35 @@ mod tests {
     fn flow_feasible_matches_halls_condition() {
         let (_s, u) = setup();
         let mut interner = StoredTypeInterner::new();
-        let mut types = vec![
-            interner.intern(ArtRelId::new(0), Pit::empty()),
-            interner.intern(ArtRelId::new(1), Pit::empty()),
-        ];
-        for seed in 0..60 {
-            if let Some(pit) = crate::pit::tests::random_pit(&u, seed) {
-                types.push(interner.intern(ArtRelId::new(seed as u32 % 2), pit));
-            }
-        }
-        types.sort_unstable();
-        types.dedup();
+        let types = stored_types(&u, &mut interner);
         let mut rng = StdRng::seed_from_u64(23);
-        let draw = |rng: &mut StdRng| {
-            let mut entries: Vec<(StoredTypeId, u32)> = (0..rng.gen_range(0..5))
-                .map(|_| {
-                    let count = match rng.gen_range(0..5u32) {
-                        0 => OMEGA,
-                        c => c.min(3),
-                    };
-                    (types[rng.gen_range(0..types.len())], count)
-                })
-                .collect();
-            entries.sort_unstable_by_key(|(t, _)| *t);
-            entries.dedup_by_key(|(t, _)| *t);
-            entries
-        };
-        let (mut identity, mut unplaceable, mut only_sets) = (0, 0, 0);
-        for _ in 0..20_000 {
-            let (left, right) = (draw(&mut rng), draw(&mut rng));
-            for slack in [0, 1] {
-                let expected = halls_condition(&left, &right, &interner, slack);
-                assert_eq!(
-                    flow_feasible(&left, &right, &interner, slack),
-                    expected,
-                    "left {left:?}, right {right:?}, slack {slack}"
-                );
-                // Tally the cases the totals do not settle.
-                if left.is_empty() || weight(&right) < weight(&left) + slack {
-                    continue;
-                }
-                if slice_leq(&left, &right) {
-                    identity += 1;
-                } else if left
-                    .iter()
-                    .any(|entry| !halls_condition(&[*entry], &right, &interner, 0))
-                {
-                    unplaceable += 1;
-                } else if !expected {
-                    only_sets += 1;
+        let small = compare_with_halls(&interner, 20_000, || {
+            let len = rng.gen_range(0..5usize);
+            let mut entries = draw_counters(&mut rng, &types, len, 4);
+            for entry in &mut entries {
+                if entry.1 != OMEGA {
+                    entry.1 = entry.1.min(3);
                 }
             }
-        }
+            entries
+        });
         assert!(
-            identity > 100 && unplaceable > 100 && only_sets > 20,
-            "weak sample: {identity} identity, {unplaceable} unplaceable, {only_sets} set-only"
+            small.identity > 100 && small.unplaceable > 100 && small.network_infeasible > 20,
+            "weak small sample: {small:?}"
+        );
+        let mut rng = StdRng::seed_from_u64(29);
+        let large = compare_with_halls(&interner, 20_000, || loop {
+            let len = rng.gen_range(5..11usize);
+            let entries = draw_counters(&mut rng, &types, len, 5);
+            if entries.len() >= 5 {
+                break entries;
+            }
+        });
+        assert!(
+            large.network_feasible > 150
+                && large.network_infeasible > 300
+                && large.back_edge_augmentations > 200,
+            "weak large sample: {large:?}"
         );
     }
 

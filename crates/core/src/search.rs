@@ -40,14 +40,15 @@
 //!    same one the repeated-reachability edge waves run on) plans every
 //!    frontier node against a frozen snapshot of the tree: its product
 //!    successors, speculative ω-accelerations against the node's active
-//!    ancestors, a speculative covered-by-active test and the list of
-//!    active states the successor would prune.  A small round runs inline
-//!    on the coordinating thread; a larger one runs on scoped threads
-//!    that claim chunks of the frontier from one cursor.  Either way the
-//!    plans come back by frontier position, and a panic in a plan worker
-//!    comes back as an error that stops the search at the round boundary.
-//!    Workers intern unknown stored types into per-worker
-//!    [`WorkerInterner`] caches under provisional ids.
+//!    ancestors, a speculative covered-by-active test and, when no active
+//!    state covers the successor, the list of active states it would
+//!    prune.  A small round runs inline on the coordinating thread; a
+//!    larger one runs on scoped threads that claim chunks of the frontier
+//!    from one cursor.  Either way the plans come back by frontier
+//!    position, and a panic in a plan worker comes back as an error that
+//!    stops the search at the round boundary.  Workers intern unknown
+//!    stored types into per-worker [`WorkerInterner`] caches under
+//!    provisional ids.
 //! 2. **Apply phase (sequential, deterministic).**  The coordinating
 //!    thread replays the plans in frontier order: it publishes each node's
 //!    new stored types to the shared interner (in first-intern order, so
@@ -56,7 +57,12 @@
 //!    speculations against what earlier applications of this round changed
 //!    (an ancestor deactivated → the acceleration is recomputed; a
 //!    covering state deactivated → the coverage test is recomputed; states
-//!    added this round are always re-checked), and mutates the tree.
+//!    added this round are always re-checked), and mutates the tree.  A
+//!    successor whose speculated coverer died earlier in the round and
+//!    that no live state covers has no planned prune list; the apply
+//!    phase lists its prunes on the live tree, which equals the snapshot
+//!    list minus the deactivated states plus the round's own, because no
+//!    node is ever reactivated.
 //!
 //! Because every speculation is either proven still-valid or recomputed
 //! from the live tree, a parallel run produces *bit-identical* results to
@@ -213,7 +219,10 @@ struct SuccessorPlan {
     accelerations: usize,
     /// First snapshot-active node covering the successor, if any.
     covered_by: Option<u32>,
-    /// Snapshot-active nodes the successor covers (prune candidates).
+    /// Snapshot-active nodes the successor covers (prune candidates),
+    /// listed only when `covered_by` is `None`: a covered successor is
+    /// skipped unless its coverer dies this round, and then the apply
+    /// phase lists its prunes on the live tree.
     prunes: Vec<u32>,
 }
 
@@ -312,8 +321,8 @@ impl ApplyScratch {
 
 /// One entry of the compact successor log: the raw (pre-acceleration)
 /// product successor of `parent` under `service`, with its type and
-/// counters interned into the search arena — ~40 bytes per entry instead
-/// of an owned [`ProductState`].
+/// counters interned into the search arena — 48 bytes per entry on a
+/// 64-bit target instead of an owned [`ProductState`].
 pub(crate) struct LoggedSuccessor {
     /// The expanded tree node.
     pub(crate) parent: u32,
@@ -367,6 +376,11 @@ pub struct KarpMillerSearch<'a> {
     /// Coverage/prune candidate ids: the active ids of each discrete
     /// group with data-structure support, every node id without it.
     candidates: Candidates,
+    /// Successors whose speculation held but whose coverer was
+    /// deactivated earlier in the round, leaving them uncovered: the
+    /// apply phase listed their prunes on the live tree.
+    #[cfg(test)]
+    live_prune_lists: usize,
 }
 
 impl<'a> KarpMillerSearch<'a> {
@@ -395,6 +409,8 @@ impl<'a> KarpMillerSearch<'a> {
             log_compact_at: 1024,
             failure: None,
             candidates: Candidates::new(data_structure_support),
+            #[cfg(test)]
+            live_prune_lists: 0,
         }
     }
 
@@ -406,10 +422,9 @@ impl<'a> KarpMillerSearch<'a> {
     /// host.
     pub fn estimated_bytes(&self) -> usize {
         const TYPE_BYTES: usize = 192;
-        const LOG_BYTES: usize = 40;
         self.arena.estimated_bytes()
             + self.interner.len() * TYPE_BYTES
-            + self.successor_log.len() * LOG_BYTES
+            + self.successor_log.len() * std::mem::size_of::<LoggedSuccessor>()
     }
 
     /// Number of nodes in the tree.
@@ -683,10 +698,13 @@ impl<'a> KarpMillerSearch<'a> {
             let (covered_by, prunes) = if finite_violation {
                 (None, Vec::new())
             } else {
-                (
-                    self.covering_node(&state, signature, 0, &*interner),
-                    self.covered_nodes(&state, signature, 0, None, &*interner),
-                )
+                match self.covering_node(&state, signature, 0, &*interner) {
+                    Some(j) => (Some(j), Vec::new()),
+                    None => (
+                        None,
+                        self.covered_nodes(&state, signature, 0, None, &*interner),
+                    ),
+                }
             };
             succs.push(SuccessorPlan {
                 service: succ.service,
@@ -713,16 +731,25 @@ impl<'a> KarpMillerSearch<'a> {
     /// ω-accelerate `state` against every active node on the path from
     /// `id` up to the root, the way the sequential search walks it.
     /// Returns the number of accelerations applied.
+    ///
+    /// An acceleration raises one of the state's counters to ω and needs
+    /// equal discrete keys, so a state without counters is returned
+    /// untouched before the walk, and an ancestor of another key is
+    /// passed over without a view of it.
     fn accelerate_along_ancestors(
         &self,
         id: u32,
         state: &mut ProductState,
         table: &dyn TypeTable,
     ) -> usize {
+        if state.psi.counters.is_empty() {
+            return 0;
+        }
+        let key = discrete_key(state.view());
         let mut count = 0usize;
         let mut ancestor = Some(id);
         while let Some(a) = ancestor {
-            if self.arena.is_active(a) {
+            if self.arena.is_active(a) && self.arena.discrete_key(a) == key {
                 if let Some(counters) =
                     accelerate(self.coverage, self.arena.view(a), state.view(), table)
                 {
@@ -872,25 +899,34 @@ impl<'a> KarpMillerSearch<'a> {
             // the node being extended (conservative variant of the
             // Reynier–Servais rule).
             let ancestors = Some(&apply.ancestors);
-            let mut to_prune: Vec<u32> = if speculation_valid {
-                succ.prunes
+            let to_prune: Vec<u32> = if speculation_valid && succ.covered_by.is_none() {
+                let mut live: Vec<u32> = succ
+                    .prunes
                     .iter()
                     .copied()
                     .filter(|&j| self.arena.is_active(j) && !apply.ancestors.contains(j))
-                    .collect()
-            } else {
-                self.covered_nodes(&state, signature, 0, ancestors, &self.interner)
-            };
-            if speculation_valid {
+                    .collect();
                 // States added this round were invisible to the plan.
-                to_prune.extend(self.covered_nodes(
+                live.extend(self.covered_nodes(
                     &state,
                     signature,
                     round_base,
                     ancestors,
                     &self.interner,
                 ));
-            }
+                live
+            } else {
+                // The plan listed no prunes: its speculation is stale, or
+                // its coverer was deactivated earlier this round.  No node
+                // is ever reactivated, so the live list is the snapshot
+                // list minus what died, plus this round's states, in the
+                // same ascending order.
+                #[cfg(test)]
+                {
+                    self.live_prune_lists += usize::from(speculation_valid);
+                }
+                self.covered_nodes(&state, signature, 0, ancestors, &self.interner)
+            };
             for j in to_prune {
                 self.deactivate_subtree(j, &apply.ancestors, &mut apply.deactivated);
             }
@@ -1136,5 +1172,81 @@ mod tests {
             r.elapsed_ms = 0;
             assert_eq!(g, r);
         }
+    }
+
+    /// A successor whose speculated coverer is deactivated earlier in its
+    /// round, with no other state covering it, gets its prune list from
+    /// the live tree.  `loan_approval`'s ninth generated property takes
+    /// that path twice; the statistics and the active set are the ones
+    /// the search produced before plans skipped the prune lists of
+    /// covered successors.
+    #[test]
+    fn an_uncovered_successor_of_a_deactivated_coverer_prunes_from_the_live_tree() {
+        let spec = verifas_workloads::loan_approval();
+        let property = verifas_workloads::generate_properties(&spec, 2017).swap_remove(8);
+        let product = ProductSystem::new(&spec, &property, true).unwrap();
+        for threads in [1, 4] {
+            let mut search = KarpMillerSearch::new(
+                &product,
+                CoverageKind::Subsumption,
+                true,
+                SearchLimits::default(),
+            );
+            search.threads = threads;
+            assert_eq!(search.run(), SearchOutcome::Exhausted);
+            assert_eq!(search.live_prune_lists, 2, "{threads} threads");
+            let stats = SearchStats {
+                elapsed_ms: 0,
+                threads: 0,
+                ..search.stats
+            };
+            assert_eq!(
+                stats,
+                SearchStats {
+                    states_created: 46,
+                    states_active: 19,
+                    states_skipped: 61,
+                    states_pruned: 27,
+                    accelerations: 1,
+                    stored_types: 1,
+                    ..SearchStats::default()
+                },
+                "{threads} threads"
+            );
+            assert_eq!(
+                search.active_nodes(),
+                [0, 1, 2, 6, 15, 26, 27, 28, 29, 32, 33, 36, 37, 40, 41, 42, 43, 44, 45],
+                "{threads} threads"
+            );
+        }
+    }
+
+    /// The memory estimate charges each successor-log entry its size.
+    #[test]
+    fn the_estimate_charges_each_logged_successor_its_size() {
+        let spec = unbounded_pool();
+        let property = trivial_property();
+        let product = ProductSystem::new(&spec, &property, true).unwrap();
+        let mut search = KarpMillerSearch::new(
+            &product,
+            CoverageKind::StrictSubsumption,
+            true,
+            SearchLimits::default(),
+        );
+        search.record_successors = true;
+        assert_eq!(search.run(), SearchOutcome::Exhausted);
+        let logged = search.successor_log.len();
+        assert!(logged > 0);
+        let with_log = search.estimated_bytes();
+        search.successor_log.truncate(logged - 1);
+        assert_eq!(
+            with_log - search.estimated_bytes(),
+            std::mem::size_of::<LoggedSuccessor>()
+        );
+        search.successor_log.clear();
+        assert_eq!(
+            with_log - search.estimated_bytes(),
+            logged * std::mem::size_of::<LoggedSuccessor>()
+        );
     }
 }
