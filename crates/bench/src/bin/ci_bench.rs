@@ -25,13 +25,14 @@
 //!
 //! A fifth gate covers the sharded batch scheduler: the skewed
 //! one-heavy-plus-many-light batch of `skewed_grid` is run end to end
-//! through `Engine::check_all_with` under the flat pool and under the
-//! sharded scheduler (`--min-batch-speedup`, enforced only on hosts with
-//! at least `--threads` cores, like gate 3 — a flat pool leaves the heavy
-//! straggler on one core, the sharded scheduler hands it the whole
-//! budget once the light properties drain).  Per-property verdicts,
-//! witnesses and search sizes must be identical across both policies and
-//! a sequential reference.
+//! through `Engine::check_all_with` and through a flat pool kept here as
+//! its reference — `--threads` workers, each running whole properties as
+//! single-threaded `Engine::check` calls (`--min-batch-speedup`, enforced
+//! only on hosts with at least `--threads` cores, like gate 3 — a flat
+//! pool leaves the heavy straggler on one core, the sharded scheduler
+//! hands it the whole budget once the light properties drain).
+//! Per-property verdicts, witnesses and search sizes must be identical
+//! across both arms and a sequential reference.
 //!
 //! A sixth gate covers incremental re-verification (`Engine::load_delta`,
 //! see `crates/core/src/delta.rs`): one edit-loop iteration on the
@@ -61,12 +62,14 @@
 //!          [--min-layout-speedup X]
 //! ```
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 use verifas_core::static_analysis::ConstraintGraph;
 use verifas_core::{
     find_infinite_violation_reference, find_infinite_violation_with, BatchOptions, CoverageKind,
     Engine as VerifasEngine, Json, KarpMillerSearch, ProductSystem, RepeatedOutcome, ReuseMode,
-    SchedulePolicy, SearchControl, SearchLimits, VerificationOutcome, VerificationReport,
+    SearchControl, SearchLimits, VerifasError, VerificationOutcome, VerificationReport,
     VerifierOptions,
 };
 use verifas_ltl::LtlFoProperty;
@@ -496,8 +499,8 @@ fn measure_repeated(args: &Args, failures: &mut Vec<String>) -> Vec<RepeatedRow>
 }
 
 /// The sharded-batch measurement: the skewed one-heavy-plus-many-light
-/// batch of `skewed_grid`, run end to end through `check_all_with` under
-/// the flat pool and the sharded scheduler with the same core budget.
+/// batch of `skewed_grid`, run end to end through [`flat_pool`] and
+/// through `check_all_with`'s sharded scheduler with the same core budget.
 struct BatchRow {
     name: String,
     properties: usize,
@@ -514,7 +517,7 @@ struct BatchRow {
 /// fastest together with its reports (for the determinism cross-check).
 fn time_batch(
     samples: usize,
-    mut run: impl FnMut() -> Vec<Result<VerificationReport, verifas_core::VerifasError>>,
+    mut run: impl FnMut() -> Vec<Result<VerificationReport, VerifasError>>,
 ) -> (f64, Vec<VerificationReport>) {
     let mut best: Option<(f64, Vec<VerificationReport>)> = None;
     for sample in 0..=samples {
@@ -535,6 +538,35 @@ fn time_batch(
     best.expect("at least one timed sample ran")
 }
 
+/// The batch gate's reference arm: `threads` workers claim whole
+/// properties in order and run each as a single-threaded `Engine::check`,
+/// so the cores of finished workers are never handed to the properties
+/// still running.
+fn flat_pool(
+    engine: &VerifasEngine,
+    properties: &[LtlFoProperty],
+    threads: usize,
+) -> Vec<Result<VerificationReport, VerifasError>> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<_>> = properties.iter().map(|_| OnceLock::new()).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(properties.len()) {
+            scope.spawn(|| loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(property) = properties.get(index) else {
+                    break;
+                };
+                // Each index is claimed once, so each slot is set once.
+                let _ = slots[index].set(engine.check(property));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every property was claimed"))
+        .collect()
+}
+
 fn measure_batch(args: &Args, failures: &mut Vec<String>) -> BatchRow {
     let spec = skewed_grid(if args.quick { 12 } else { 16 });
     let properties = skewed_batch_properties(&spec, 7);
@@ -553,27 +585,25 @@ fn measure_batch(args: &Args, failures: &mut Vec<String>) -> BatchRow {
     .expect("skewed grid is valid");
     let name = format!("{}/skewed-batch", spec.name);
     let samples = if args.quick { 1 } else { 3 };
-    let batch = |schedule: SchedulePolicy| BatchOptions {
+    let batch = BatchOptions {
         batch_threads: args.threads,
-        schedule,
     };
     let (flat_millis, flat_reports) = time_batch(samples, || {
-        engine.check_all_with(&properties, batch(SchedulePolicy::Flat))
+        flat_pool(&engine, &properties, batch.resolved_threads())
     });
-    let (sharded_millis, sharded_reports) = time_batch(samples, || {
-        engine.check_all_with(&properties, batch(SchedulePolicy::Sharded))
-    });
-    // Determinism cross-check: both policies must reproduce a sequential
+    let (sharded_millis, sharded_reports) =
+        time_batch(samples, || engine.check_all_with(&properties, batch));
+    // Determinism cross-check: both arms must reproduce a sequential
     // reference bit for bit (verdict, witness, search size).
     for (i, property) in properties.iter().enumerate() {
         let reference = engine.check(property).expect("sequential check succeeds");
-        for (policy, report) in [("flat", &flat_reports[i]), ("sharded", &sharded_reports[i])] {
+        for (arm, report) in [("flat", &flat_reports[i]), ("sharded", &sharded_reports[i])] {
             if report.outcome != reference.outcome
                 || report.witness != reference.witness
                 || report.stats.states_created != reference.stats.states_created
             {
                 failures.push(format!(
-                    "{name}: property {} diverged under {policy} scheduling",
+                    "{name}: property {} diverged under {arm} scheduling",
                     property.name
                 ));
             }

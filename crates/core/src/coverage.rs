@@ -60,7 +60,7 @@ fn slice_get(entries: &[(StoredTypeId, u32)], id: StoredTypeId) -> u32 {
 }
 
 /// Pointwise comparison `left ≤ right` (with `n < ω` for all `n`) over
-/// sorted entry slices — the borrowed twin of [`CounterVec::leq`].
+/// sorted entry slices ([`CounterVec::as_slice`]).
 fn slice_leq(left: &[(StoredTypeId, u32)], right: &[(StoredTypeId, u32)]) -> bool {
     left.iter().all(|(t, c)| {
         let o = slice_get(right, *t);
@@ -69,7 +69,7 @@ fn slice_leq(left: &[(StoredTypeId, u32)], right: &[(StoredTypeId, u32)]) -> boo
 }
 
 /// `true` iff some counter of `right` strictly exceeds the matching one
-/// of `left` — the borrowed twin of [`CounterVec::strictly_less_somewhere`].
+/// of `left` (used by the acceleration rule).
 fn slice_strictly_less_somewhere(
     left: &[(StoredTypeId, u32)],
     right: &[(StoredTypeId, u32)],
@@ -441,6 +441,25 @@ mod tests {
         let mut b = PitBuilder::new(u);
         b.assert_eq(s, k);
         b.finish().unwrap()
+    }
+
+    #[test]
+    fn pointwise_order_with_omega() {
+        let a = CounterVec::empty().incremented(0).incremented(1);
+        let b = CounterVec::empty()
+            .incremented(0)
+            .incremented(0)
+            .incremented(1);
+        let w = CounterVec::empty().with_omega(0).incremented(1);
+        let (a, b, w) = (a.as_slice(), b.as_slice(), w.as_slice());
+        assert!(slice_leq(a, b));
+        assert!(!slice_leq(b, a));
+        assert!(slice_leq(a, a));
+        assert!(slice_leq(a, w));
+        assert!(!slice_leq(w, b));
+        assert!(slice_strictly_less_somewhere(a, b));
+        assert!(!slice_strictly_less_somewhere(b, a));
+        assert!(slice_strictly_less_somewhere(a, w));
     }
 
     #[test]

@@ -67,8 +67,8 @@ impl fmt::Display for ReuseMode {
     }
 }
 
-/// FNV-1a over the canonical `Debug` rendering of a value — the same
-/// canonical-structural-hash idiom as [`crate::engine::spec_hash`].
+/// FNV-1a over the canonical `Debug` rendering of a value; the session
+/// key [`crate::engine::spec_hash`] is this hash of a lowered spec.
 /// Equal structures render (and therefore hash) equally; stable for one
 /// build of the library, which is the lifetime of every in-memory cache
 /// keyed by it.

@@ -337,9 +337,8 @@ impl Engine {
     }
 
     /// Verify a batch of properties with the engine's default options and
-    /// the default [`BatchOptions`] (sharded scheduling over one core
-    /// budget per available core), returning one result per property in
-    /// input order.
+    /// the default [`BatchOptions`] (one core per available core),
+    /// returning one result per property in input order.
     ///
     /// The spec-side preprocessing (expression universe, compiled task,
     /// static-analysis graph) is built exactly once per distinct
@@ -348,7 +347,7 @@ impl Engine {
     /// [`Scheduler`]: wide while properties are queued, then cores freed
     /// by finished properties are reassigned to still-running searches.
     /// The per-property results are bit-identical to sequential
-    /// [`Engine::check`] calls regardless of the scheduling.
+    /// [`Engine::check`] calls for every core budget.
     pub fn check_all(
         &self,
         properties: &[LtlFoProperty],
@@ -356,17 +355,19 @@ impl Engine {
         self.check_all_with(properties, BatchOptions::default())
     }
 
-    /// [`Engine::check_all`] under explicit [`BatchOptions`] (core budget
-    /// and scheduling policy).
+    /// [`Engine::check_all`] under explicit [`BatchOptions`] (the core
+    /// budget).
     pub fn check_all_with(
         &self,
         properties: &[LtlFoProperty],
         batch: BatchOptions,
     ) -> Vec<Result<VerificationReport, VerifasError>> {
-        self.batch().batch_options(batch).run(properties)
+        self.batch()
+            .batch_threads(batch.batch_threads)
+            .run(properties)
     }
 
-    /// Start building one batch verification request: scheduling knobs
+    /// Start building one batch verification request: the core budget
     /// ([`BatchOptions`]), per-request [`VerifierOptions`], a batch-wide
     /// [`CancelToken`] and a streaming per-property result callback.
     pub fn batch(&self) -> BatchBuilder<'_, '_> {
@@ -692,12 +693,6 @@ pub struct BatchBuilder<'e, 'f> {
 }
 
 impl<'e, 'f> BatchBuilder<'e, 'f> {
-    /// Set all scheduling knobs at once.
-    pub fn batch_options(mut self, batch: BatchOptions) -> Self {
-        self.batch = batch;
-        self
-    }
-
     /// The core budget shared by the whole batch (0 = one per available
     /// core).
     pub fn batch_threads(mut self, threads: usize) -> Self {
@@ -705,18 +700,9 @@ impl<'e, 'f> BatchBuilder<'e, 'f> {
         self
     }
 
-    /// How the core budget is spread over the batch (default
-    /// [`crate::schedule::SchedulePolicy::Sharded`]).
-    pub fn schedule(mut self, schedule: crate::schedule::SchedulePolicy) -> Self {
-        self.batch.schedule = schedule;
-        self
-    }
-
     /// Override the engine's default options for every property of this
-    /// batch.  Under [`crate::schedule::SchedulePolicy::Sharded`] the
-    /// `search_threads` member is ignored — the scheduler owns the core
-    /// budget; under [`crate::schedule::SchedulePolicy::Flat`] it is each
-    /// search's fixed thread count, exactly as in a single request.
+    /// batch.  The `search_threads` member is ignored — the scheduler owns
+    /// the core budget.
     pub fn options(mut self, options: VerifierOptions) -> Self {
         self.options = options;
         self
@@ -895,26 +881,15 @@ impl<'e, 'f> BatchBuilder<'e, 'f> {
 /// text it may have come from: two `.has` files that differ only in
 /// formatting or comments lower to the same structure (the `verifas-spec`
 /// frontend lowers through the same builders programmatic callers use,
-/// bit-identically) and therefore share one session.  FNV-1a over the
-/// structure's canonical rendering; stable for a given build of the
-/// library, which is exactly the lifetime of an in-memory session cache.
+/// bit-identically) and therefore share one session.  The hash is the
+/// [`fingerprint`] (FNV-1a) of the structure's canonical rendering; stable
+/// for a given build of the library, which is exactly the lifetime of an
+/// in-memory session cache.
 pub fn spec_hash(spec: &HasSpec) -> u64 {
-    use std::fmt::Write;
-    struct Fnv(u64);
-    impl Write for Fnv {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            for byte in s.bytes() {
-                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            Ok(())
-        }
-    }
-    let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
     // The derived Debug rendering is a canonical, total serialization of
     // the lowered structure: equal specs render equally, and every field
     // that distinguishes two specs appears in it.
-    write!(fnv, "{spec:?}").expect("writing to a hasher cannot fail");
-    fnv.0
+    fingerprint(spec)
 }
 
 /// [`spec_hash`] rendered as the 16-digit lowercase hex string used on

@@ -86,11 +86,8 @@ pub use repeated::{
 };
 pub use report::{VerificationReport, Witness, WitnessStep, REPORT_SCHEMA_VERSION};
 pub use schedule::{
-    BatchOptions, OccupancySample, SchedulePolicy, ScheduleStats, Scheduler, SchedulerHandle,
-    ThreadBudget,
+    BatchOptions, OccupancySample, ScheduleStats, Scheduler, SchedulerHandle, ThreadBudget,
 };
 pub use search::{KarpMillerSearch, SearchLimits, SearchOutcome, SearchStats, WorkerStats};
 pub use transition::{spec_constants, SymbolicTask};
-pub use verifier::{
-    run_verification, Counterexample, VerificationOutcome, VerificationResult, VerifierOptions,
-};
+pub use verifier::{Counterexample, VerificationOutcome, VerificationResult, VerifierOptions};

@@ -293,11 +293,6 @@ impl CounterVec {
         CounterVec { entries }
     }
 
-    /// Number of non-zero counters.
-    pub fn support_len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// `true` iff every counter is zero.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -381,23 +376,6 @@ impl CounterVec {
         }
         out
     }
-
-    /// Pointwise comparison `self ≤ other` (with `n < ω` for all `n`).
-    pub fn leq(&self, other: &CounterVec) -> bool {
-        self.entries.iter().all(|(t, c)| {
-            let o = other.get(*t);
-            o == OMEGA || (*c != OMEGA && *c <= o)
-        })
-    }
-
-    /// `true` iff some counter of `other` strictly exceeds the matching
-    /// counter of `self` (used by the acceleration rule).
-    pub fn strictly_less_somewhere(&self, other: &CounterVec) -> bool {
-        other.entries.iter().any(|(t, c)| {
-            let mine = self.get(*t);
-            mine != OMEGA && (*c == OMEGA || mine < *c)
-        })
-    }
 }
 
 impl fmt::Display for CounterVec {
@@ -476,12 +454,12 @@ mod tests {
         assert_eq!(c.get(3), 2);
         assert_eq!(c.get(1), 1);
         assert_eq!(c.total(), 3);
-        assert_eq!(c.support_len(), 2);
+        assert_eq!(c.as_slice().len(), 2);
         let c = c.decremented(3).unwrap();
         assert_eq!(c.get(3), 1);
         let c = c.decremented(3).unwrap();
         assert_eq!(c.get(3), 0);
-        assert_eq!(c.support_len(), 1);
+        assert_eq!(c.as_slice().len(), 1);
     }
 
     #[test]
@@ -490,24 +468,6 @@ mod tests {
         assert_eq!(c.get(0), OMEGA);
         assert_eq!(c.incremented(0).get(0), OMEGA);
         assert_eq!(c.decremented(0).unwrap().get(0), OMEGA);
-    }
-
-    #[test]
-    fn pointwise_order_with_omega() {
-        let a = CounterVec::empty().incremented(0).incremented(1);
-        let b = CounterVec::empty()
-            .incremented(0)
-            .incremented(0)
-            .incremented(1);
-        assert!(a.leq(&b));
-        assert!(!b.leq(&a));
-        assert!(a.leq(&a));
-        let w = CounterVec::empty().with_omega(0).incremented(1);
-        assert!(a.leq(&w));
-        assert!(!w.leq(&b));
-        assert!(a.strictly_less_somewhere(&b));
-        assert!(!b.strictly_less_somewhere(&a));
-        assert!(a.strictly_less_somewhere(&w));
     }
 
     #[test]
@@ -567,7 +527,7 @@ mod tests {
         // Collisions merge; ω absorbs.
         let collided = c.map_ids(|_| 5);
         assert_eq!(collided.get(5), OMEGA);
-        assert_eq!(collided.support_len(), 1);
+        assert_eq!(collided.as_slice().len(), 1);
     }
 
     #[test]

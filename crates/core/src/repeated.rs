@@ -219,22 +219,20 @@ pub fn find_infinite_violation_with(
     // active set, and the search has done that work once).
     search.record_successors = true;
     let outcome = search.run_with(control);
-    let mut stats = search.stats;
-    let mut worker_stats = std::mem::take(&mut search.worker_stats);
-    let mut failure = std::mem::take(&mut search.failure);
+    // Each exit below sets only the fields it decides.
+    let mut result = RepeatedOutcome {
+        violation: None,
+        stats: search.stats,
+        limit_reached: outcome == SearchOutcome::LimitReached,
+        finite_violation: None,
+        worker_stats: std::mem::take(&mut search.worker_stats),
+        cycle: None,
+        failure: std::mem::take(&mut search.failure),
+    };
     if let SearchOutcome::FiniteViolation(node) = outcome {
-        let prefix = search.trace(node).into_iter().map(|(s, _)| s).collect();
-        return RepeatedOutcome {
-            violation: None,
-            stats,
-            limit_reached: false,
-            finite_violation: Some(prefix),
-            worker_stats,
-            cycle: None,
-            failure,
-        };
+        result.finite_violation = Some(search.trace(node).into_iter().map(|(s, _)| s).collect());
+        return result;
     }
-    let mut limit_reached = outcome == SearchOutcome::LimitReached;
     let active = search.active_nodes();
     // Rule (a): an accepting active state with an ω counter is repeatedly
     // reachable — the acceleration that produced the ω witnesses a cycle.
@@ -244,25 +242,16 @@ pub fn find_infinite_violation_with(
             && !state.closed
             && state.counters.iter().any(|&(_, c)| c == OMEGA)
     }) {
-        let prefix = search.trace(i).into_iter().map(|(s, _)| s).collect();
-        return RepeatedOutcome {
-            violation: Some(InfiniteViolation {
-                prefix,
-                reason: "accepting state with an unbounded (ω) artifact-relation counter"
-                    .to_owned(),
-            }),
-            stats,
-            limit_reached,
-            finite_violation: None,
-            worker_stats,
-            cycle: None,
-            failure,
-        };
+        result.violation = Some(InfiniteViolation {
+            prefix: search.trace(i).into_iter().map(|(s, _)| s).collect(),
+            reason: "accepting state with an unbounded (ω) artifact-relation counter".to_owned(),
+        });
+        return result;
     }
     // Rule (b): cycle detection over the abstract transition graph of the
     // active states — gated candidates, parallel edge construction, one
     // SCC pass.
-    let workers = stats.threads.max(1);
+    let workers = result.stats.threads.max(1);
     let mut successors = std::mem::take(&mut search.successor_log);
     // Deterministic apply order already groups the log by parent; the
     // stable sort makes the per-parent ranges binary-searchable without
@@ -278,25 +267,18 @@ pub fn find_infinite_violation_with(
         workers,
         control,
     );
-    merge_worker_stats(&mut worker_stats, &edge_workers);
-    failure = failure.or(edge_failure);
+    merge_worker_stats(&mut result.worker_stats, &edge_workers);
+    result.failure = result.failure.take().or(edge_failure);
     if !cycle.completed {
         // Cancellation, the deadline or a worker panic interrupted edge
         // construction: a cycle check over the partial graph would be
         // unsound (it could miss edges and report Satisfied), so skip it
         // and report the run as limit-reached and cancelled.
-        limit_reached = true;
-        stats.limit_reached = true;
-        stats.cancelled = true;
-        return RepeatedOutcome {
-            violation: None,
-            stats,
-            limit_reached,
-            finite_violation: None,
-            worker_stats,
-            cycle: Some(cycle),
-            failure,
-        };
+        result.limit_reached = true;
+        result.stats.limit_reached = true;
+        result.stats.cancelled = true;
+        result.cycle = Some(cycle);
+        return result;
     }
     let scc_start = Instant::now();
     let scc = tarjan_sccs(&graph);
@@ -314,36 +296,20 @@ pub fn find_infinite_violation_with(
         product.is_accepting_view(state) && !state.closed && on_cycle(ai)
     });
     if let Some((ai, &i)) = hit {
-        let prefix = search.trace(i).into_iter().map(|(s, _)| s).collect();
         let looped = cycle_services(ai, &graph, &scc)
             .iter()
             .map(|s| product.task.spec.service_name(*s))
             .collect::<Vec<_>>()
             .join(" → ");
-        return RepeatedOutcome {
-            violation: Some(InfiniteViolation {
-                prefix,
-                reason: format!(
-                    "accepting state lies on a cycle of the coverability graph (cycle: {looped})"
-                ),
-            }),
-            stats,
-            limit_reached,
-            finite_violation: None,
-            worker_stats,
-            cycle: Some(cycle),
-            failure,
-        };
+        result.violation = Some(InfiniteViolation {
+            prefix: search.trace(i).into_iter().map(|(s, _)| s).collect(),
+            reason: format!(
+                "accepting state lies on a cycle of the coverability graph (cycle: {looped})"
+            ),
+        });
     }
-    RepeatedOutcome {
-        violation: None,
-        stats,
-        limit_reached,
-        finite_violation: None,
-        worker_stats,
-        cycle: Some(cycle),
-        failure,
-    }
+    result.cycle = Some(cycle);
+    result
 }
 
 /// One edge of the abstract transition graph: the target's position in the

@@ -12,7 +12,7 @@
 use crate::error::VerifasError;
 use crate::json::Json;
 use crate::repeated::CycleStats;
-use crate::schedule::{OccupancySample, SchedulePolicy, ScheduleStats};
+use crate::schedule::{OccupancySample, ScheduleStats};
 use crate::search::{SearchLimits, SearchStats, WorkerStats};
 use crate::verifier::{VerificationOutcome, VerificationResult, VerifierOptions};
 use verifas_model::{HasSpec, ServiceRef, TaskId};
@@ -24,8 +24,8 @@ use verifas_model::{HasSpec, ServiceRef, TaskId};
 /// (`workers`).  Version 3 added the repeated-reachability cycle-detection
 /// block (`repeated_cycle`, see [`CycleStats`]).  Version 4 added the
 /// batch-scheduling block (`schedule`, see [`ScheduleStats`]): the batch's
-/// policy and core budget plus the property's start/finish times and
-/// core-occupancy timeline.
+/// core budget plus the property's start/finish times and core-occupancy
+/// timeline.
 pub const REPORT_SCHEMA_VERSION: u64 = 4;
 
 /// One observable service occurrence on a witness path.
@@ -73,8 +73,8 @@ pub struct VerificationReport {
     /// Per-worker statistics across both phases (empty for sequential
     /// engines that did not track them).
     pub workers: Vec<WorkerStats>,
-    /// How this run was scheduled within its batch — policy, core budget
-    /// and the core-occupancy timeline (None for single-property runs,
+    /// How this run was scheduled within its batch — core budget and the
+    /// core-occupancy timeline (None for single-property runs,
     /// which are not batch-scheduled).
     pub schedule: Option<ScheduleStats>,
     /// The options that were in effect for this run.
@@ -417,10 +417,6 @@ fn cycle_stats_from_json(value: &Json) -> Result<CycleStats, VerifasError> {
 fn schedule_stats_to_json(stats: &ScheduleStats) -> Json {
     Json::Obj(vec![
         (
-            "policy".to_owned(),
-            Json::Str(stats.policy.name().to_owned()),
-        ),
-        (
             "batch_threads".to_owned(),
             Json::Num(stats.batch_threads as f64),
         ),
@@ -452,11 +448,6 @@ fn schedule_stats_to_json(stats: &ScheduleStats) -> Json {
 }
 
 fn schedule_stats_from_json(value: &Json) -> Result<ScheduleStats, VerifasError> {
-    let policy = value
-        .require("policy")?
-        .as_str()
-        .and_then(SchedulePolicy::from_name)
-        .ok_or_else(|| malformed("schedule.policy"))?;
     let occupancy = value
         .require("occupancy")?
         .as_array()
@@ -470,7 +461,6 @@ fn schedule_stats_from_json(value: &Json) -> Result<ScheduleStats, VerifasError>
         })
         .collect::<Result<Vec<_>, VerifasError>>()?;
     Ok(ScheduleStats {
-        policy,
         batch_threads: u64_member(value, "batch_threads")? as usize,
         property_index: u64_member(value, "property_index")? as usize,
         started_ms: u64_member(value, "started_ms")?,
@@ -644,7 +634,6 @@ mod tests {
                 },
             ],
             schedule: Some(ScheduleStats {
-                policy: SchedulePolicy::Sharded,
                 batch_threads: 4,
                 property_index: 2,
                 started_ms: 1,
@@ -675,9 +664,9 @@ mod tests {
         assert_eq!(parsed.to_json(), text);
     }
 
-    /// Documents written before `used_index`, `reference_layout` and
-    /// `reference_repeated` were dropped still read: unknown members are
-    /// ignored.
+    /// Documents written before `used_index`, `reference_layout`,
+    /// `reference_repeated` and the schedule block's `policy` were dropped
+    /// still read: unknown members are ignored.
     #[test]
     fn retired_members_are_ignored() {
         let report = sample_report();
@@ -688,9 +677,15 @@ mod tests {
                 "\"limits\"",
                 "\"reference_layout\":false,\"reference_repeated\":true,\"limits\"",
                 1,
+            )
+            .replacen(
+                "\"batch_threads\"",
+                "\"policy\":\"flat\",\"batch_threads\"",
+                1,
             );
         assert!(text.contains("used_index") && text.contains("reference_layout"));
         assert!(text.contains("\"reference_repeated\":true"));
+        assert!(text.contains("\"schedule\":{\"policy\":\"flat\""));
         assert_eq!(VerificationReport::from_json(&text).unwrap(), report);
     }
 

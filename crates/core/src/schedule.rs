@@ -1,11 +1,10 @@
 //! Sharded scheduling of batch verification.
 //!
-//! [`crate::engine::Engine::check_all`] used to hand whole properties to a
-//! flat thread pool: with `C` cores and `N` properties, up to `C`
-//! *sequential* searches ran side by side, and through the tail of a batch
-//! most cores idled while one straggler search ran on a single core.  The
-//! [`Scheduler`] shards the machine between *batch width* and *per-search
-//! depth* instead:
+//! Every batch ([`crate::engine::Engine::check_all`],
+//! [`crate::engine::Engine::batch`]) runs through the [`Scheduler`], which
+//! shards the machine between *batch width* and *per-search depth* so that
+//! the tail of a batch does not leave most cores idle behind one straggler
+//! search:
 //!
 //! * while properties are still queued, every running search gets a budget
 //!   of one thread (width first: `C` properties in flight beat one
@@ -50,75 +49,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// How [`crate::engine::Engine::check_all`] spreads a batch over the
-/// machine.
+/// Batch-level scheduling options of one `check_all` run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulePolicy {
-    /// The pre-scheduler behaviour: a flat pool of `batch_threads` workers,
-    /// each running whole properties with the per-request
-    /// `VerifierOptions::search_threads` setting (1 by default).  Cores
-    /// freed by finished properties are *not* reassigned.
-    Flat,
-    /// Adaptive core partitioning: wide while properties are queued, then
-    /// freed cores are reassigned to still-running searches so the last
-    /// stragglers run with the whole budget.  The per-request
-    /// `search_threads` setting is ignored — the scheduler owns the
-    /// budget.  Results are bit-identical to [`SchedulePolicy::Flat`] per
-    /// property (verdict, witness, search statistics).
-    #[default]
-    Sharded,
-}
-
-impl SchedulePolicy {
-    /// The policy's serialization name (`"flat"` / `"sharded"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulePolicy::Flat => "flat",
-            SchedulePolicy::Sharded => "sharded",
-        }
-    }
-
-    /// Parse a serialization name produced by [`SchedulePolicy::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "flat" => Some(SchedulePolicy::Flat),
-            "sharded" => Some(SchedulePolicy::Sharded),
-            _ => None,
-        }
-    }
-}
-
-/// Batch-level scheduling knobs of one `check_all` run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchOptions {
     /// The core budget shared by the whole batch (0 = one per available
-    /// core).  Under [`SchedulePolicy::Sharded`] this bounds the *sum* of
-    /// all running searches' thread budgets; under
-    /// [`SchedulePolicy::Flat`] it is the width of the flat pool.
+    /// core): it bounds the *sum* of all running searches' thread budgets.
     pub batch_threads: usize,
-    /// How the budget is spread over the batch.
-    pub schedule: SchedulePolicy,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            batch_threads: 0,
-            schedule: SchedulePolicy::Sharded,
-        }
-    }
 }
 
 impl BatchOptions {
-    /// The flat-pool configuration (the pre-scheduler `check_all`
-    /// behaviour).
-    pub fn flat() -> Self {
-        BatchOptions {
-            schedule: SchedulePolicy::Flat,
-            ..BatchOptions::default()
-        }
-    }
-
     /// The core budget after resolving the automatic setting.
     pub fn resolved_threads(&self) -> usize {
         match self.batch_threads {
@@ -228,14 +167,12 @@ impl ThreadBudget {
 }
 
 /// How one property's verification was scheduled within its batch: the
-/// policy and resolved core budget of the batch, when the property
-/// started and finished (milliseconds since the batch started) and its
-/// core-occupancy timeline.  Scheduling observability only — like
+/// resolved core budget of the batch, when the property started and
+/// finished (milliseconds since the batch started) and its core-occupancy
+/// timeline.  Scheduling observability only — like
 /// [`crate::search::WorkerStats`], none of it affects the verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleStats {
-    /// The batch's scheduling policy.
-    pub policy: SchedulePolicy,
     /// The batch's resolved core budget.
     pub batch_threads: usize,
     /// This property's index within the batch.
@@ -245,19 +182,17 @@ pub struct ScheduleStats {
     pub started_ms: u64,
     /// When it finished, in milliseconds since the batch started.
     pub finished_ms: u64,
-    /// The core-occupancy timeline ([`SchedulePolicy::Sharded`] only;
-    /// empty under [`SchedulePolicy::Flat`], where the budget is the
-    /// per-request `search_threads` for the whole run).
+    /// The core-occupancy timeline, starting with the job's initial budget
+    /// of one thread.
     pub occupancy: Vec<OccupancySample>,
 }
 
-/// One claimed job of a running batch: its index, and (under
-/// [`SchedulePolicy::Sharded`]) the live [`ThreadBudget`] the scheduler
-/// resizes while the job runs.
+/// One claimed job of a running batch: its index and the live
+/// [`ThreadBudget`] the scheduler resizes while the job runs.
 pub struct JobHandle {
     index: usize,
     started_ms: u64,
-    budget: Option<ThreadBudget>,
+    budget: ThreadBudget,
     scheduler: Arc<SchedulerInner>,
 }
 
@@ -267,11 +202,11 @@ impl JobHandle {
         self.index
     }
 
-    /// The job's dynamic thread budget (None under
-    /// [`SchedulePolicy::Flat`], where the per-request configuration
-    /// rules).
+    /// The job's dynamic thread budget.  Every job has one, so this is
+    /// always `Some`; the `Option` keeps the signature callers already
+    /// use.
     pub fn budget(&self) -> Option<&ThreadBudget> {
-        self.budget.as_ref()
+        Some(&self.budget)
     }
 
     /// Hand the job's cores to the jobs still running.  The scheduler
@@ -279,11 +214,9 @@ impl JobHandle {
     /// before returning calls it first, so whoever the report wakes finds
     /// the cores already moved.
     pub(crate) fn retire(&self) {
-        if self.budget.is_some() {
-            let mut state = lock_ignoring_poison(&self.scheduler.state);
-            state.running.retain(|(index, _)| *index != self.index);
-            self.scheduler.rebalance(&mut state);
-        }
+        let mut state = lock_ignoring_poison(&self.scheduler.state);
+        state.running.retain(|(index, _)| *index != self.index);
+        self.scheduler.rebalance(&mut state);
     }
 }
 
@@ -304,7 +237,6 @@ struct SchedulerInner {
     /// resizes it mid-run; the initial value is the resolved
     /// [`BatchOptions::batch_threads`].
     threads: AtomicUsize,
-    policy: SchedulePolicy,
     epoch: Instant,
     state: Mutex<ShardState>,
 }
@@ -319,7 +251,7 @@ impl SchedulerInner {
     /// frontier yet weigh 1, which reduces to the previous even split with
     /// the remainder going to the longest-running searches.
     fn rebalance(&self, state: &mut ShardState) {
-        if self.policy == SchedulePolicy::Flat || state.running.is_empty() {
+        if state.running.is_empty() {
             return;
         }
         if state.pending > 0 {
@@ -415,8 +347,8 @@ impl std::fmt::Debug for SchedulerHandle {
 /// [`Scheduler::run`] executes one closure invocation per job over
 /// `min(budget, jobs)` worker threads; each invocation receives a
 /// [`JobHandle`] whose [`ThreadBudget`] the scheduler resizes as the batch
-/// drains.  The scheduler is policy-agnostic plumbing: it neither knows
-/// nor cares that the jobs are verifications.
+/// drains.  The scheduler is plumbing: it neither knows nor cares that the
+/// jobs are verifications.
 pub struct Scheduler {
     inner: Arc<SchedulerInner>,
     /// The budget resolved at construction — recorded in every job's
@@ -435,7 +367,6 @@ impl Scheduler {
         Scheduler {
             inner: Arc::new(SchedulerInner {
                 threads: AtomicUsize::new(threads),
-                policy: options.schedule,
                 epoch: Instant::now(),
                 state: Mutex::new(ShardState {
                     pending: jobs,
@@ -512,15 +443,10 @@ impl Scheduler {
     /// Claim job `index`: register it in the running set and rebalance.
     fn start_job(&self, index: usize) -> JobHandle {
         let started_ms = elapsed_ms(self.inner.epoch);
-        let budget = match self.inner.policy {
-            SchedulePolicy::Flat => None,
-            SchedulePolicy::Sharded => Some(ThreadBudget::with_epoch(1, self.inner.epoch)),
-        };
+        let budget = ThreadBudget::with_epoch(1, self.inner.epoch);
         let mut state = lock_ignoring_poison(&self.inner.state);
         state.pending = state.pending.saturating_sub(1);
-        if let Some(budget) = &budget {
-            state.running.push((index, budget.clone()));
-        }
+        state.running.push((index, budget.clone()));
         self.inner.rebalance(&mut state);
         JobHandle {
             index,
@@ -535,16 +461,11 @@ impl Scheduler {
     fn finish_job(&self, handle: &JobHandle) -> ScheduleStats {
         handle.retire();
         ScheduleStats {
-            policy: self.inner.policy,
             batch_threads: self.initial_threads,
             property_index: handle.index,
             started_ms: handle.started_ms,
             finished_ms: elapsed_ms(self.inner.epoch),
-            occupancy: handle
-                .budget
-                .as_ref()
-                .map(ThreadBudget::timeline)
-                .unwrap_or_default(),
+            occupancy: handle.budget.timeline(),
         }
     }
 }
@@ -611,13 +532,6 @@ fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 mod tests {
     use super::*;
 
-    fn sharded(batch_threads: usize) -> BatchOptions {
-        BatchOptions {
-            batch_threads,
-            schedule: SchedulePolicy::Sharded,
-        }
-    }
-
     #[test]
     fn budgets_clamp_to_at_least_one_thread() {
         let budget = ThreadBudget::fixed(0);
@@ -648,11 +562,10 @@ mod tests {
 
     #[test]
     fn a_lone_sharded_job_gets_the_whole_core_budget() {
-        let scheduler = Scheduler::new(sharded(4), 1);
+        let scheduler = Scheduler::new(BatchOptions { batch_threads: 4 }, 1);
         let results = scheduler.run(|_, handle| handle.budget().unwrap().current());
         let (threads, stats) = results.into_iter().next().unwrap().unwrap();
         assert_eq!(threads, 4);
-        assert_eq!(stats.policy, SchedulePolicy::Sharded);
         assert_eq!(stats.batch_threads, 4);
         assert_eq!(stats.property_index, 0);
         assert_eq!(stats.occupancy.last().unwrap().threads, 4);
@@ -661,7 +574,7 @@ mod tests {
 
     #[test]
     fn a_sequential_budget_runs_jobs_in_order_with_one_thread_each() {
-        let scheduler = Scheduler::new(sharded(1), 3);
+        let scheduler = Scheduler::new(BatchOptions { batch_threads: 1 }, 3);
         let results = scheduler.run(|index, handle| {
             assert_eq!(handle.index(), index);
             handle.budget().unwrap().current()
@@ -678,7 +591,7 @@ mod tests {
     fn the_last_straggler_inherits_freed_cores() {
         // One worker (budget 4 but a single-job queue at a time is forced
         // by claiming order): drive the membership transitions directly.
-        let scheduler = Scheduler::new(sharded(4), 2);
+        let scheduler = Scheduler::new(BatchOptions { batch_threads: 4 }, 2);
         let first = scheduler.start_job(0);
         // Job 1 still pending: width first.
         assert_eq!(first.budget().unwrap().current(), 1);
@@ -709,20 +622,8 @@ mod tests {
     }
 
     #[test]
-    fn flat_jobs_carry_no_budget() {
-        let scheduler = Scheduler::new(BatchOptions::flat(), 2);
-        let results = scheduler.run(|_, handle| handle.budget().is_none());
-        for slot in results {
-            let (no_budget, stats) = slot.unwrap();
-            assert!(no_budget);
-            assert_eq!(stats.policy, SchedulePolicy::Flat);
-            assert!(stats.occupancy.is_empty());
-        }
-    }
-
-    #[test]
     fn a_panicking_job_leaves_an_empty_slot_and_the_rest_complete() {
-        let scheduler = Scheduler::new(sharded(1), 3);
+        let scheduler = Scheduler::new(BatchOptions { batch_threads: 1 }, 3);
         let results = scheduler.run(|index, _| {
             if index == 1 {
                 panic!("job 1 exploded");
@@ -768,7 +669,7 @@ mod tests {
 
     #[test]
     fn frontier_hints_weight_the_straggler_split() {
-        let scheduler = Scheduler::new(sharded(8), 3);
+        let scheduler = Scheduler::new(BatchOptions { batch_threads: 8 }, 3);
         let a = scheduler.start_job(0);
         let b = scheduler.start_job(1);
         let c = scheduler.start_job(2);
@@ -797,7 +698,7 @@ mod tests {
 
     #[test]
     fn an_attached_handle_resizes_the_running_split_immediately() {
-        let mut scheduler = Scheduler::new(sharded(8), 2);
+        let mut scheduler = Scheduler::new(BatchOptions { batch_threads: 8 }, 2);
         let handle = SchedulerHandle::new();
         scheduler.attach(&handle);
         let a = scheduler.start_job(0);
@@ -825,7 +726,7 @@ mod tests {
 
     #[test]
     fn set_total_clamps_to_one_and_width_first_scheduling_still_rules() {
-        let mut scheduler = Scheduler::new(sharded(4), 2);
+        let mut scheduler = Scheduler::new(BatchOptions { batch_threads: 4 }, 2);
         let handle = SchedulerHandle::new();
         scheduler.attach(&handle);
         let a = scheduler.start_job(0);
@@ -841,7 +742,7 @@ mod tests {
 
     #[test]
     fn handles_detach_when_the_batch_finishes() {
-        let mut scheduler = Scheduler::new(sharded(2), 2);
+        let mut scheduler = Scheduler::new(BatchOptions { batch_threads: 2 }, 2);
         let handle = SchedulerHandle::new();
         scheduler.attach(&handle);
         let clone = handle.clone();
@@ -849,13 +750,5 @@ mod tests {
         assert_eq!(results.len(), 2);
         assert!(!handle.set_total(4), "a finished batch must be detached");
         assert_eq!(clone.total(), None, "clones share the detachment");
-    }
-
-    #[test]
-    fn policy_names_round_trip() {
-        for policy in [SchedulePolicy::Flat, SchedulePolicy::Sharded] {
-            assert_eq!(SchedulePolicy::from_name(policy.name()), Some(policy));
-        }
-        assert_eq!(SchedulePolicy::from_name("adaptive"), None);
     }
 }

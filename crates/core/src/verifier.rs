@@ -1,8 +1,8 @@
 //! The verification options, results and the two-phase run behind
 //! `verifas::Engine`.
 //!
-//! [`run_verification`] runs the Karp–Miller search and the
-//! repeated-reachability analysis over a prepared product system.  Every
+//! `run_phases` runs the Karp–Miller search and the repeated-reachability
+//! analysis over a prepared product system.  Every
 //! optimisation of Section 3 can be toggled through [`VerifierOptions`] so
 //! the ablation experiments of Table 3 can be reproduced:
 //!
@@ -186,29 +186,12 @@ impl VerificationResult {
     }
 }
 
-/// Run the two verification phases over a prepared product system under a
-/// [`SearchControl`] (observer + cancellation) — the run `verifas::Engine`
-/// makes for every request.
-pub fn run_verification(
-    product: &ProductSystem,
-    options: VerifierOptions,
-    control: &mut SearchControl<'_>,
-) -> VerificationResult {
-    run_phases(
-        product,
-        options.coverage(),
-        options.repeated_coverage(),
-        options,
-        false,
-        control,
-    )
-}
-
-/// The two verification phases under explicit coverage orders: phase 1
-/// prunes with `coverage`, phase 2 with `repeated_coverage`.  Of `options`
-/// only the DSS flag, the limits, the thread count and `check_repeated`
-/// apply; the product already carries the static analysis and the
-/// artifact-relation choice.  `reference_phase2` runs phase 2 through the
+/// The two verification phases under explicit coverage orders, the run
+/// [`crate::engine::Engine`] makes for every request: phase 1 prunes with
+/// `coverage`, phase 2 with `repeated_coverage`.  Of `options` only the
+/// DSS flag, the limits, the thread count and `check_repeated` apply; the
+/// product already carries the static analysis and the artifact-relation
+/// choice.  `reference_phase2` runs phase 2 through the
 /// retained O(active²) oracle
 /// ([`crate::repeated::find_infinite_violation_reference`]), which
 /// produces no [`CycleStats`]; only the fuzz `repeated` arm sets it.

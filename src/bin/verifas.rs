@@ -6,7 +6,7 @@
 //!                             [--base PRIOR.json] [--incremental MODE]
 //!                             [--max-states N] [--max-millis MS]
 //! verifas batch    <spec.has> [--all-props] [--threads N] [--json OUT]
-//!                             [--batch-threads N] [--schedule flat|sharded]
+//!                             [--batch-threads N]
 //!                             [--max-states N] [--max-millis MS]
 //! verifas validate <spec.has>
 //! verifas hash     <spec.has>
@@ -99,7 +99,6 @@ options:
   --threads N        worker threads (check: per search; batch: core budget; 0 = auto)
   --batch-threads N  batch: core budget shared by the whole batch (0 = auto;
                      overrides --threads)
-  --schedule POLICY  batch: `sharded` (adaptive, default) or `flat`
   --json OUT         write the reports as a JSON document to OUT
   --max-states N     per-phase state limit (default 100000)
   --max-millis MS    per-phase wall-clock limit (default 60000)
@@ -130,7 +129,6 @@ struct Options {
     incremental: Option<ReuseMode>,
     threads: usize,
     batch_threads: Option<usize>,
-    schedule: Option<SchedulePolicy>,
     json: Option<String>,
     max_states: Option<usize>,
     max_millis: Option<u64>,
@@ -151,8 +149,9 @@ struct Options {
     shrink: bool,
     repro_dir: Option<String>,
     corrupt_arm: Option<String>,
-    /// Every flag that appeared, for per-command applicability checks.
-    seen: Vec<&'static str>,
+    /// Every flag the parser accepted, for per-command applicability
+    /// checks.
+    seen: Vec<String>,
 }
 
 /// The flags each subcommand accepts; anything else is rejected rather
@@ -172,7 +171,6 @@ fn allowed_flags(command: &str) -> &'static [&'static str] {
             "--all-props",
             "--threads",
             "--batch-threads",
-            "--schedule",
             "--json",
             "--max-states",
             "--max-millis",
@@ -210,7 +208,6 @@ fn parse_options(args: &[String], needs_file: bool) -> Result<Options, String> {
         incremental: None,
         threads: 1,
         batch_threads: None,
-        schedule: None,
         json: None,
         max_states: None,
         max_millis: None,
@@ -240,9 +237,6 @@ fn parse_options(args: &[String], needs_file: bool) -> Result<Options, String> {
             .ok_or_else(|| format!("error: {flag} needs a value\n\n{USAGE}"))
     };
     while let Some(arg) = iter.next() {
-        if let Some(flag) = KNOWN_FLAGS.iter().find(|f| **f == arg.as_str()) {
-            options.seen.push(flag);
-        }
         match arg.as_str() {
             "--prop" => options.prop = Some(value_of("--prop", &mut iter)?),
             "--base" => options.base = Some(value_of("--base", &mut iter)?),
@@ -263,17 +257,6 @@ fn parse_options(args: &[String], needs_file: bool) -> Result<Options, String> {
                         .parse()
                         .map_err(|_| "error: --batch-threads needs a number".to_string())?,
                 )
-            }
-            "--schedule" => {
-                options.schedule = Some(match value_of("--schedule", &mut iter)?.as_str() {
-                    "flat" => SchedulePolicy::Flat,
-                    "sharded" => SchedulePolicy::Sharded,
-                    other => {
-                        return Err(format!(
-                            "error: --schedule must be `flat` or `sharded`, not {other:?}"
-                        ))
-                    }
-                })
             }
             "--json" => options.json = Some(value_of("--json", &mut iter)?),
             "--max-states" => {
@@ -344,6 +327,10 @@ fn parse_options(args: &[String], needs_file: bool) -> Result<Options, String> {
             path if options.file.is_empty() => options.file = path.to_string(),
             extra => return Err(format!("error: unexpected argument {extra:?}\n\n{USAGE}")),
         }
+        // Every unknown `--` argument was rejected above.
+        if arg.starts_with("--") {
+            options.seen.push(arg.clone());
+        }
     }
     if needs_file && options.file.is_empty() {
         return Err(format!("error: no specification file given\n\n{USAGE}"));
@@ -357,44 +344,13 @@ fn parse_options(args: &[String], needs_file: bool) -> Result<Options, String> {
     Ok(options)
 }
 
-/// Every flag any subcommand knows about.
-const KNOWN_FLAGS: &[&str] = &[
-    "--prop",
-    "--base",
-    "--incremental",
-    "--threads",
-    "--batch-threads",
-    "--schedule",
-    "--json",
-    "--max-states",
-    "--max-millis",
-    "--all-props",
-    "--write",
-    "--check",
-    "--addr",
-    "--cores",
-    "--sessions",
-    "--max-interactive",
-    "--max-batch",
-    "--memory-mb",
-    "--fault-plan",
-    "--class",
-    "--deadline-ms",
-    "--retries",
-    "--seeds",
-    "--matrix",
-    "--shrink",
-    "--repro-dir",
-    "--corrupt-arm",
-];
-
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let Some(command) = args.first() else {
         return Err(USAGE.to_string());
     };
     let options = parse_options(&args[1..], command != "serve" && command != "fuzz")?;
     let allowed = allowed_flags(command);
-    if let Some(flag) = options.seen.iter().find(|f| !allowed.contains(f)) {
+    if let Some(flag) = options.seen.iter().find(|f| !allowed.contains(&f.as_str())) {
         return Err(format!(
             "error: {flag} does not apply to `{command}`\n\n{USAGE}"
         ));
@@ -941,10 +897,7 @@ fn check(options: &Options, source: &str, batch: bool) -> Result<ExitCode, Strin
         };
         engine
             .batch()
-            .batch_options(BatchOptions {
-                batch_threads: options.batch_threads.unwrap_or(options.threads),
-                schedule: options.schedule.unwrap_or_default(),
-            })
+            .batch_threads(options.batch_threads.unwrap_or(options.threads))
             .on_result(&mut on_result)
             .run(&selected)
     } else {

@@ -83,9 +83,9 @@ pub use verifas_workloads as workloads;
 
 pub use verifas_core::{
     BatchBuilder, BatchOptions, CancelToken, CycleStats, DeltaSummary, Engine, OccupancySample,
-    Phase, ProgressEvent, ProgressObserver, ReuseMode, SchedulePolicy, ScheduleStats, SearchLimits,
-    SearchStats, SourceSpan, SpecDelta, ThreadBudget, VerifasError, VerificationBuilder,
-    VerificationOutcome, VerificationReport, VerifierOptions, Witness, WitnessStep, WorkerStats,
+    Phase, ProgressEvent, ProgressObserver, ReuseMode, ScheduleStats, SearchLimits, SearchStats,
+    SourceSpan, SpecDelta, ThreadBudget, VerifasError, VerificationBuilder, VerificationOutcome,
+    VerificationReport, VerifierOptions, Witness, WitnessStep, WorkerStats,
 };
 pub use verifas_spec::{CompiledSpec, SpecError};
 
@@ -97,10 +97,10 @@ pub use verifas_spec::{CompiledSpec, SpecError};
 pub mod prelude {
     pub use verifas_core::{
         BatchBuilder, BatchOptions, CancelToken, CoverageKind, CycleStats, DeltaSummary, Engine,
-        OccupancySample, Phase, ProgressEvent, ProgressObserver, ReuseMode, SchedulePolicy,
-        ScheduleStats, SearchLimits, SearchStats, SourceSpan, SpecDelta, ThreadBudget,
-        VerifasError, VerificationBuilder, VerificationOutcome, VerificationReport,
-        VerifierOptions, Witness, WitnessStep, WorkerStats,
+        OccupancySample, Phase, ProgressEvent, ProgressObserver, ReuseMode, ScheduleStats,
+        SearchLimits, SearchStats, SourceSpan, SpecDelta, ThreadBudget, VerifasError,
+        VerificationBuilder, VerificationOutcome, VerificationReport, VerifierOptions, Witness,
+        WitnessStep, WorkerStats,
     };
     pub use verifas_ltl::{Ltl, LtlFoProperty, PropAtom, PropertyHandle};
     pub use verifas_model::{

@@ -5,12 +5,11 @@
 //! cores freed by finished properties are reassigned to still-running
 //! searches at round boundaries.  None of that may change any result:
 //! every property's verdict, witness and search-tree statistics must be
-//! bit-identical under flat vs sharded scheduling, for every batch width,
-//! for every seed — and identical to an independent sequential
-//! `Engine::check` of the same property.  The suite also pins the
-//! batch-level failure modes: a cancellation fired mid-batch stops every
-//! search, and an invalid property reports its own typed error without
-//! disturbing the rest of the batch.
+//! bit-identical for every batch width, for every seed — and identical to
+//! an independent sequential `Engine::check` of the same property.  The
+//! suite also pins the batch-level failure modes: a cancellation fired
+//! mid-batch stops every search, and an invalid property reports its own
+//! typed error without disturbing the rest of the batch.
 //!
 //! Runs are bounded by `max_states` (deterministic) rather than wall
 //! clock, so scheduling can never change where a limited run stops.
@@ -76,52 +75,37 @@ fn comparable(
     )
 }
 
-/// Every batch configuration — flat and sharded, across batch widths —
-/// must reproduce the independent sequential `check` of each property bit
-/// for bit.
+/// Every batch width must reproduce the independent sequential `check` of
+/// each property bit for bit.
 fn assert_schedule_invariant(engine: &Engine, properties: &[LtlFoProperty], context: &str) {
     let baseline: Vec<_> = properties
         .iter()
         .map(|p| comparable(&engine.check(p).expect("sequential check succeeds")))
         .collect();
     for batch_threads in BATCH_WIDTHS {
-        for schedule in [SchedulePolicy::Flat, SchedulePolicy::Sharded] {
-            let reports = engine.check_all_with(
-                properties,
-                BatchOptions {
-                    batch_threads,
-                    schedule,
-                },
+        let reports = engine.check_all_with(properties, BatchOptions { batch_threads });
+        assert_eq!(reports.len(), properties.len());
+        for (i, report) in reports.iter().enumerate() {
+            let report = report.as_ref().unwrap_or_else(|e| {
+                panic!("{context}: property {i} failed with batch_threads={batch_threads}: {e}")
+            });
+            assert_eq!(
+                comparable(report),
+                baseline[i],
+                "{context}: property {i} ({}) diverged with batch_threads={batch_threads}",
+                properties[i].name
             );
-            assert_eq!(reports.len(), properties.len());
-            for (i, report) in reports.iter().enumerate() {
-                let report = report.as_ref().unwrap_or_else(|e| {
-                    panic!("{context}: property {i} failed under {schedule:?}: {e}")
-                });
-                assert_eq!(
-                    comparable(report),
-                    baseline[i],
-                    "{context}: property {i} ({}) diverged under {schedule:?} \
-                     with batch_threads={batch_threads}",
-                    properties[i].name
-                );
-                let stats = report
-                    .schedule
-                    .as_ref()
-                    .expect("batch runs carry a schedule block");
-                assert_eq!(stats.property_index, i);
-                assert_eq!(stats.batch_threads, batch_threads);
-                match schedule {
-                    SchedulePolicy::Flat => assert!(stats.occupancy.is_empty()),
-                    SchedulePolicy::Sharded => {
-                        assert!(!stats.occupancy.is_empty());
-                        assert!(stats
-                            .occupancy
-                            .iter()
-                            .all(|s| { s.threads >= 1 && s.threads <= batch_threads }));
-                    }
-                }
-            }
+            let stats = report
+                .schedule
+                .as_ref()
+                .expect("batch runs carry a schedule block");
+            assert_eq!(stats.property_index, i);
+            assert_eq!(stats.batch_threads, batch_threads);
+            assert!(!stats.occupancy.is_empty());
+            assert!(stats
+                .occupancy
+                .iter()
+                .all(|s| { s.threads >= 1 && s.threads <= batch_threads }));
         }
     }
 }
@@ -199,17 +183,11 @@ fn skewed_batches_are_schedule_invariant_and_reassign_cores() {
         ));
     }
     assert_schedule_invariant(&engine, &properties, "cycle-grid skewed batch");
-    // A singleton sharded batch with an explicit budget: the lone search
+    // A singleton batch with an explicit budget: the lone search
     // must run under the whole budget (deterministic even on a 1-core
     // host — the budget is the knob, not the hardware).
     let report = engine
-        .check_all_with(
-            &properties[..1],
-            BatchOptions {
-                batch_threads: 4,
-                schedule: SchedulePolicy::Sharded,
-            },
-        )
+        .check_all_with(&properties[..1], BatchOptions { batch_threads: 4 })
         .remove(0)
         .unwrap();
     assert_eq!(report.stats.threads, 4, "the straggler gets all cores");
@@ -221,8 +199,8 @@ fn skewed_batches_are_schedule_invariant_and_reassign_cores() {
 /// post-drain budget split by each search's live frontier width) on the
 /// batch shape it exists for: `skewed_grid`'s one heavy root search plus
 /// many trivial `Chore` properties.  Weighting is advisory scheduling
-/// input only, so every result must stay bit-identical to flat
-/// scheduling and to independent sequential checks — and the straggler's
+/// input only, so every result must stay bit-identical for every batch
+/// width and to independent sequential checks — and the straggler's
 /// occupancy timeline must be non-worse than the pre-weighting contract:
 /// it ends with the whole core budget and never dips below one thread.
 #[test]
@@ -286,7 +264,6 @@ fn skewed_grid_weighted_split_is_schedule_invariant() {
     let reports = engine
         .batch()
         .batch_threads(4)
-        .schedule(SchedulePolicy::Sharded)
         .on_event(&on_event)
         .on_result(&mut on_result)
         .run(&properties);
@@ -352,7 +329,6 @@ fn mid_batch_cancellation_stops_all_searches() {
     let reports = engine
         .batch()
         .batch_threads(1)
-        .schedule(SchedulePolicy::Sharded)
         .cancel_token(token)
         .on_result(&mut on_result)
         .run(&properties);
@@ -374,7 +350,7 @@ fn mid_batch_cancellation_stops_all_searches() {
 }
 
 /// One invalid property reports its own typed error; every other property
-/// of the batch is verified normally, under both policies.
+/// of the batch is verified normally.
 #[test]
 fn an_invalid_property_leaves_the_rest_of_the_batch_unaffected() {
     let spec = real_workflows()
@@ -394,30 +370,14 @@ fn an_invalid_property_leaves_the_rest_of_the_batch_unaffected() {
     let properties = vec![valid[0].clone(), invalid, valid[1].clone()];
     let expected_first = comparable(&engine.check(&valid[0]).unwrap());
     let expected_last = comparable(&engine.check(&valid[1]).unwrap());
-    for schedule in [SchedulePolicy::Flat, SchedulePolicy::Sharded] {
-        let reports = engine.check_all_with(
-            &properties,
-            BatchOptions {
-                batch_threads: 2,
-                schedule,
-            },
-        );
-        assert!(
-            matches!(reports[1], Err(VerifasError::Model(_))),
-            "the invalid property must report a typed model error, got {:?}",
-            reports[1]
-        );
-        assert_eq!(
-            comparable(reports[0].as_ref().unwrap()),
-            expected_first,
-            "{schedule:?}"
-        );
-        assert_eq!(
-            comparable(reports[2].as_ref().unwrap()),
-            expected_last,
-            "{schedule:?}"
-        );
-    }
+    let reports = engine.check_all_with(&properties, BatchOptions { batch_threads: 2 });
+    assert!(
+        matches!(reports[1], Err(VerifasError::Model(_))),
+        "the invalid property must report a typed model error, got {:?}",
+        reports[1]
+    );
+    assert_eq!(comparable(reports[0].as_ref().unwrap()), expected_first);
+    assert_eq!(comparable(reports[2].as_ref().unwrap()), expected_last);
 }
 
 /// A panicking `on_result` callback is contained: every property's report

@@ -118,13 +118,7 @@ fn random_skewed_batches_match_independent_checks() {
                 (report.outcome, report.witness, report.stats.states_created)
             })
             .collect();
-        let batched = engine.check_all_with(
-            &mix,
-            BatchOptions {
-                batch_threads,
-                schedule: SchedulePolicy::Sharded,
-            },
-        );
+        let batched = engine.check_all_with(&mix, BatchOptions { batch_threads });
         for (i, report) in batched.iter().enumerate() {
             let report = report.as_ref().unwrap();
             assert_eq!(

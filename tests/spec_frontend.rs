@@ -293,16 +293,28 @@ fn frontend_errors_are_typed_and_spanned() {
 
 #[test]
 fn check_rejects_an_unknown_incremental_mode() {
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_verifas"))
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .args(["check", "examples/specs/conference_review.has"])
-        .args(["--incremental", "replay"])
-        .output()
-        .expect("the verifas binary runs");
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let usage_error = |args: &[&str]| {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_verifas"))
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .args(args)
+            .output()
+            .expect("the verifas binary runs");
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        String::from_utf8_lossy(&output.stderr).into_owned()
+    };
+    let spec = "examples/specs/conference_review.has";
+    let stderr = usage_error(&["check", spec, "--incremental", "replay"]);
     assert!(
         stderr.contains("`cold`") && stderr.contains("`preproc`"),
+        "{stderr}"
+    );
+    // The batch scheduling policy is gone: the flag is unknown.
+    let stderr = usage_error(&["batch", spec, "--schedule", "flat"]);
+    assert!(stderr.contains("unknown option --schedule"), "{stderr}");
+    // A known flag of another command is rejected per command.
+    let stderr = usage_error(&["check", spec, "--write"]);
+    assert!(
+        stderr.contains("--write does not apply to `check`"),
         "{stderr}"
     );
 }
