@@ -252,11 +252,6 @@ impl Engine {
         self.options
     }
 
-    /// The engine's [`ReuseMode`].
-    pub fn reuse_mode(&self) -> ReuseMode {
-        self.reuse
-    }
-
     /// Number of distinct spec-side preprocessings currently cached
     /// (diagnostic; see [`crate::counters`] for process-wide build counts).
     pub fn cached_preprocessings(&self) -> usize {

@@ -515,13 +515,6 @@ impl<'u> PitBuilder<'u> {
         edges.sort_unstable();
         Some(Pit { edges })
     }
-
-    /// `true` if an inconsistency has already been detected (the final
-    /// verdict still requires [`PitBuilder::finish`], which also checks the
-    /// disequalities).
-    pub fn is_inconsistent(&self) -> bool {
-        self.inconsistent
-    }
 }
 
 /// Can two class sorts co-exist in one equivalence class?

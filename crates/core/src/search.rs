@@ -449,16 +449,6 @@ impl<'a> KarpMillerSearch<'a> {
         self.arena.is_expanded(node as u32)
     }
 
-    /// The node's parent, if any.
-    pub fn parent_of(&self, node: usize) -> Option<usize> {
-        self.arena.parent(node as u32).map(|p| p as usize)
-    }
-
-    /// The observable service that produced the node.
-    pub fn service_of(&self, node: usize) -> ServiceRef {
-        self.arena.service(node as u32)
-    }
-
     /// A borrowed view of the node's state.
     pub fn state_view(&self, node: usize) -> StateView<'_> {
         self.arena.view(node as u32)

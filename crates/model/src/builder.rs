@@ -73,23 +73,6 @@ impl TaskBuilder {
         id
     }
 
-    /// Declare an artifact relation with explicit columns.
-    pub fn art_relation(
-        &mut self,
-        name: impl Into<String>,
-        columns: Vec<(String, VarType)>,
-    ) -> ArtRelId {
-        let id = ArtRelId::new(self.task.art_relations.len() as u32);
-        self.task.art_relations.push(ArtRelation {
-            name: name.into(),
-            columns: columns
-                .into_iter()
-                .map(|(name, typ)| Variable { name, typ })
-                .collect(),
-        });
-        id
-    }
-
     /// Add an internal service.
     pub fn service(&mut self, svc: InternalService) -> &mut Self {
         self.task.services.push(svc);
@@ -278,17 +261,6 @@ impl SpecBuilder {
         };
         spec.validate()?;
         Ok(spec)
-    }
-
-    /// Finish building without validating (used by the synthetic generator,
-    /// which validates separately and discards unsatisfiable specs).
-    pub fn build_unchecked(self) -> HasSpec {
-        HasSpec {
-            name: self.name,
-            db: self.db,
-            tasks: self.tasks,
-            global_pre: self.global_pre,
-        }
     }
 }
 

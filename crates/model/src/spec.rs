@@ -44,11 +44,6 @@ impl HasSpec {
         &self.tasks[id.index()]
     }
 
-    /// Get a mutable task by id.
-    pub fn task_mut(&mut self, id: TaskId) -> &mut Task {
-        &mut self.tasks[id.index()]
-    }
-
     /// Look up a task by name.
     pub fn task_by_name(&self, name: &str) -> Option<(TaskId, &Task)> {
         self.tasks

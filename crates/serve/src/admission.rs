@@ -1,4 +1,4 @@
-//! Priority classes, admission limits, and the bounded admission queue.
+//! Priority classes, admission limits, and the request table.
 //!
 //! A multi-tenant verifier serves two very different request shapes: an
 //! editor plugin checking one property on keystroke wants an answer in
@@ -6,25 +6,35 @@
 //! properties and cares only about throughput.  Each request declares
 //! which it is — [`PriorityClass::Interactive`] or
 //! [`PriorityClass::Batch`] — and the server treats the classes
-//! differently at *both* gates:
+//! differently at *both* gates, which one [`RequestTable`] keeps under
+//! one lock:
 //!
 //! * **admission**: each class has its own in-flight limit
-//!   ([`AdmissionLimits`]) and its own bounded FIFO queue
-//!   ([`AdmissionQueue`]).  An over-limit request *queues* — the client
-//!   gets an immediate `queued` frame with its position and a retry
-//!   hint, and its deadline keeps ticking while it waits.  Only queue
-//!   *overflow* is refused with a typed `overloaded` error, and one
-//!   class filling up never blocks the other,
-//! * **core allocation**: while any interactive request is running, every
-//!   batch request is squeezed to a floor of one core (see
-//!   [`crate::arbiter::Arbiter`]) — reclaimed at the next search round
-//!   boundary, not at the next request boundary.
+//!   ([`AdmissionLimits`]) and its own bounded FIFO lane.  An over-limit
+//!   request *waits* — the client gets an immediate `queued` frame with
+//!   its position and a retry hint, and its deadline keeps ticking while
+//!   it waits.  Only lane *overflow* is refused with a typed
+//!   `overloaded` error, and one class filling up never blocks the
+//!   other,
+//! * **core allocation**: while no interactive request runs, batch
+//!   requests split the server's cores evenly (the earliest request takes
+//!   the remainder); while any does, every batch request is squeezed to a
+//!   floor of one core and the interactive requests split the rest
+//!   evenly.  Waiting requests hold no cores and never move the split.
+//!
+//! Revisions reach running batches through each running entry's
+//! [`SchedulerHandle`]: `set_total` re-splits the batch's shard budgets
+//! immediately, and workers adopt the new budget at their next search
+//! round boundary, not at the next request boundary.  Because plan/apply
+//! rounds are bit-identical for every worker count, this
+//! preemption-by-rebalance changes when answers arrive, never what they
+//! are.
 
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use crate::error::ServeError;
+use verifas_core::{CancelToken, SchedulerHandle};
 
 /// The scheduling class a request declares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -99,155 +109,228 @@ impl AdmissionLimits {
             PriorityClass::Batch => self.max_batch.max(1),
         }
     }
-
-    /// Check one class's in-flight count against its limit.
-    pub fn admit(&self, class: PriorityClass, in_flight: usize) -> Result<(), ServeError> {
-        let limit = self.limit(class);
-        if in_flight >= limit {
-            Err(ServeError::Overloaded { class, limit })
-        } else {
-            Ok(())
-        }
-    }
 }
 
-/// What [`AdmissionQueue::enqueue`] decided about an arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Enqueued {
-    /// A slot was free: the request is in flight immediately.
-    Admitted,
-    /// The class is at its limit: the request holds a FIFO ticket.
-    Queued {
-        /// Hand this to [`AdmissionQueue::await_turn`].
-        ticket: u64,
-        /// 1-based position in the class's queue at arrival time.
-        position: usize,
+/// Identifies one request for the lifetime of the server.  Minted once
+/// per arrival by [`RequestTable::enter`], refused arrivals included.
+pub type RequestId = u64;
+
+/// How often a waiting request re-checks its give-up predicate, so
+/// deadlines and cancellation take effect while it waits.
+const POLL: Duration = Duration::from_millis(25);
+
+enum State {
+    /// Holds a place in its class's lane; no slot, no cores.
+    Waiting,
+    /// Holds an in-flight slot and `cores` of the server's budget, pushed
+    /// to the running batch through `handle`.
+    Running {
+        handle: SchedulerHandle,
+        cores: usize,
     },
 }
 
-/// How a queued wait ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueOutcome {
-    /// The ticket reached the head and a slot freed: now in flight.
-    Admitted,
-    /// The caller's `give_up` predicate fired (deadline or cancel)
-    /// before a slot freed; the ticket has been removed.
-    GaveUp,
+impl State {
+    /// A request just admitted: its handle is not attached to a batch
+    /// yet, and the next rebalance assigns its cores.
+    fn start() -> Self {
+        State::Running {
+            handle: SchedulerHandle::new(),
+            cores: 0,
+        }
+    }
+}
+
+struct Entry {
+    id: RequestId,
+    class: PriorityClass,
+    token: CancelToken,
+    state: State,
 }
 
 #[derive(Default)]
-struct QueueState {
-    in_flight: [usize; 2],
-    waiting: [VecDeque<u64>; 2],
-    next_ticket: u64,
+struct Entries {
+    next_id: RequestId,
+    /// Ascending id, which is arrival order: the first waiting entry of a
+    /// class is the head of its lane, and the earliest running entries
+    /// take the remainder of a split.
+    list: Vec<Entry>,
 }
 
-/// The bounded FIFO admission queue (one lane per [`PriorityClass`]).
+impl Entries {
+    fn position(&self, id: RequestId) -> Option<usize> {
+        self.list.binary_search_by_key(&id, |entry| entry.id).ok()
+    }
+
+    /// Entries of `class` that are running (`true`) or waiting (`false`).
+    fn count(&self, class: PriorityClass, running: bool) -> usize {
+        self.list
+            .iter()
+            .filter(|entry| {
+                entry.class == class && matches!(entry.state, State::Running { .. }) == running
+            })
+            .count()
+    }
+}
+
+/// Every queued and running request of the server, with its class, its
+/// cancel token and its core allocation (see the module docs).
 ///
-/// Replaces refuse-at-limit admission: a request past its class's
-/// in-flight limit waits its turn instead of bouncing, and every slot
-/// release ([`AdmissionQueue::release`]) wakes the waiters so the head
-/// of the lane claims the slot.  Fairness within a class is strict
+/// Admission and core allocation happen in one step under one lock:
+/// [`RequestTable::enter`] either starts a request (and re-splits the
+/// cores) or queues it, and [`RequestTable::release`] hands a freed slot
+/// straight to the head of its lane.  Fairness within a class is strict
 /// arrival order; between classes the lanes are independent.
-pub struct AdmissionQueue {
+pub struct RequestTable {
     limits: AdmissionLimits,
-    state: Mutex<QueueState>,
-    freed: Condvar,
+    cores: usize,
+    entries: Mutex<Entries>,
+    /// Signalled whenever a waiting request starts running.
+    started: Condvar,
 }
 
-impl AdmissionQueue {
-    /// An empty queue enforcing `limits`.
-    pub fn new(limits: AdmissionLimits) -> Self {
-        AdmissionQueue {
+impl RequestTable {
+    /// An empty table enforcing `limits` and splitting `cores` (clamped
+    /// to ≥ 1).
+    pub fn new(limits: AdmissionLimits, cores: usize) -> Self {
+        RequestTable {
             limits,
-            state: Mutex::new(QueueState::default()),
-            freed: Condvar::new(),
+            cores: cores.max(1),
+            entries: Mutex::new(Entries::default()),
+            started: Condvar::new(),
         }
     }
 
-    /// The limits this queue enforces.
-    pub fn limits(&self) -> &AdmissionLimits {
-        &self.limits
+    /// The server-wide core budget being split.
+    pub fn total_cores(&self) -> usize {
+        self.cores
     }
 
-    /// Admit immediately if a slot is free and nobody is waiting, queue
-    /// a ticket otherwise, refuse only when the class's lane is full.
-    pub fn enqueue(&self, class: PriorityClass) -> Result<Enqueued, ServeError> {
-        let mut state = self.state.lock().expect("admission queue poisoned");
-        let lane = class.index();
-        if state.waiting[lane].is_empty() && state.in_flight[lane] < self.limits.limit(class) {
-            state.in_flight[lane] += 1;
-            return Ok(Enqueued::Admitted);
-        }
-        let depth = self.limits.queue_depth;
-        if state.waiting[lane].len() >= depth {
-            return Err(ServeError::Overloaded {
-                class,
-                limit: self.limits.limit(class),
-            });
-        }
-        let ticket = state.next_ticket;
-        state.next_ticket += 1;
-        state.waiting[lane].push_back(ticket);
-        Ok(Enqueued::Queued {
-            ticket,
-            position: state.waiting[lane].len(),
-        })
-    }
-
-    /// Block until `ticket` reaches the head of its lane and a slot
-    /// frees, or until `give_up` returns true (checked every poll tick,
-    /// so deadlines keep ticking while queued).
-    pub fn await_turn(
+    /// Mint the next request id and enter an arrival of `class`: running
+    /// at once if its lane is empty and the class is under its limit,
+    /// waiting otherwise.  Returns the id and, for a waiting request, its
+    /// 1-based position in the lane.  Only a full lane refuses, and the
+    /// refused arrival still spends an id.
+    pub fn enter(
         &self,
         class: PriorityClass,
-        ticket: u64,
-        mut give_up: impl FnMut() -> bool,
-    ) -> QueueOutcome {
-        let lane = class.index();
-        let mut state = self.state.lock().expect("admission queue poisoned");
+        token: CancelToken,
+    ) -> Result<(RequestId, Option<usize>), ServeError> {
+        let mut entries = self.lock();
+        let id = entries.next_id;
+        entries.next_id += 1;
+        let waiting = entries.count(class, false);
+        let limit = self.limits.limit(class);
+        let (state, position) = if waiting == 0 && entries.count(class, true) < limit {
+            (State::start(), None)
+        } else if waiting < self.limits.queue_depth {
+            (State::Waiting, Some(waiting + 1))
+        } else {
+            return Err(ServeError::Overloaded { class, limit });
+        };
+        entries.list.push(Entry {
+            id,
+            class,
+            token,
+            state,
+        });
+        // A waiting arrival leaves every share as it was.
+        self.rebalance(&mut entries);
+        Ok((id, position))
+    }
+
+    /// Block until waiting request `id` runs, or until `give_up` returns
+    /// true (checked every poll tick, so deadlines keep ticking while it
+    /// waits).  A request that gives up leaves the table at once, so it
+    /// stops holding its place in the lane.  Returns whether it runs.
+    pub fn await_turn(&self, id: RequestId, mut give_up: impl FnMut() -> bool) -> bool {
+        let mut entries = self.lock();
         loop {
-            let at_head = state.waiting[lane].front() == Some(&ticket);
-            if at_head && state.in_flight[lane] < self.limits.limit(class) {
-                state.waiting[lane].pop_front();
-                state.in_flight[lane] += 1;
-                // The next waiter may also have a free slot (e.g. after
-                // a limit of 2 drained to 0): pass the wake-up on.
-                self.freed.notify_all();
-                return QueueOutcome::Admitted;
+            let Some(index) = entries.position(id) else {
+                return false;
+            };
+            if matches!(entries.list[index].state, State::Running { .. }) {
+                return true;
             }
             if give_up() {
-                state.waiting[lane].retain(|&t| t != ticket);
-                self.freed.notify_all();
-                return QueueOutcome::GaveUp;
+                entries.list.remove(index);
+                return false;
             }
-            let (next, _timeout) = self
-                .freed
-                .wait_timeout(state, Duration::from_millis(25))
-                .expect("admission queue poisoned");
-            state = next;
+            entries = self
+                .started
+                .wait_timeout(entries, POLL)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 
-    /// Release one in-flight slot of `class` and wake the waiters.
-    pub fn release(&self, class: PriorityClass) {
-        let mut state = self.state.lock().expect("admission queue poisoned");
-        let lane = class.index();
-        state.in_flight[lane] = state.in_flight[lane].saturating_sub(1);
-        drop(state);
-        self.freed.notify_all();
+    /// The scheduler handle and current cores of running request `id`.
+    /// Read this just before starting the batch: a revision since
+    /// admission is then already reflected in its first round.
+    pub fn running(&self, id: RequestId) -> Option<(SchedulerHandle, usize)> {
+        let entries = self.lock();
+        match &entries.list[entries.position(id)?].state {
+            State::Running { handle, cores } => Some((handle.clone(), *cores)),
+            State::Waiting => None,
+        }
     }
 
-    /// Requests currently waiting in `class`'s lane.
-    pub fn queued_len(&self, class: PriorityClass) -> usize {
-        let state = self.state.lock().expect("admission queue poisoned");
-        state.waiting[class.index()].len()
+    /// Remove request `id`, whatever its state.  A running request's slot
+    /// goes to the head of its lane, and the cores are re-split.  Unknown
+    /// ids are ignored, so release is idempotent.
+    pub fn release(&self, id: RequestId) {
+        let mut entries = self.lock();
+        let Some(index) = entries.position(id) else {
+            return;
+        };
+        let entry = entries.list.remove(index);
+        if let State::Running { .. } = entry.state {
+            let head = entries
+                .list
+                .iter_mut()
+                .find(|next| next.class == entry.class && matches!(next.state, State::Waiting));
+            if let Some(head) = head {
+                head.state = State::start();
+                self.started.notify_all();
+            }
+            self.rebalance(&mut entries);
+        }
     }
 
-    /// Requests of `class` currently holding an in-flight slot.
+    /// Cancel a queued or running request.  Returns whether the id was
+    /// found.
+    pub fn cancel(&self, id: RequestId) -> bool {
+        let entries = self.lock();
+        let found = entries.position(id);
+        if let Some(index) = found {
+            entries.list[index].token.cancel();
+        }
+        found.is_some()
+    }
+
+    /// Cancel every queued and running request.  Returns how many were
+    /// signalled.
+    pub fn cancel_all(&self) -> usize {
+        let entries = self.lock();
+        for entry in &entries.list {
+            entry.token.cancel();
+        }
+        entries.list.len()
+    }
+
+    /// Running requests of `class`.
     pub fn in_flight(&self, class: PriorityClass) -> usize {
-        let state = self.state.lock().expect("admission queue poisoned");
-        state.in_flight[class.index()]
+        self.lock().count(class, true)
+    }
+
+    /// Requests waiting in `class`'s lane.
+    pub fn queued_len(&self, class: PriorityClass) -> usize {
+        self.lock().count(class, false)
+    }
+
+    /// Whether no request is queued or running.
+    pub fn is_empty(&self) -> bool {
+        self.lock().list.is_empty()
     }
 
     /// A Retry-After-style hint (milliseconds) for a request queued at
@@ -258,12 +341,77 @@ impl AdmissionQueue {
     pub fn retry_hint_ms(position: usize) -> u64 {
         (position as u64 * 100).max(50)
     }
+
+    /// A poisoned lock is recovered, not propagated: every update leaves
+    /// the list valid (a rebalance recomputes all shares from scratch),
+    /// and `release` runs in a `Drop`, which must not panic.
+    fn lock(&self) -> MutexGuard<'_, Entries> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Recompute every running request's cores and push each change
+    /// through its scheduler handle.  Called with the lock held, so the
+    /// split always matches the running set.
+    fn rebalance(&self, entries: &mut Entries) {
+        let interactive = entries.count(PriorityClass::Interactive, true);
+        let batch = entries.count(PriorityClass::Batch, true);
+        // With interactive work present, batch requests drop to one core
+        // each and interactive requests split what remains (never less
+        // than one core each).
+        let (interactive_pool, batch_pool) = if interactive == 0 {
+            (0, self.cores)
+        } else {
+            (self.cores.saturating_sub(batch).max(interactive), batch)
+        };
+        for (class, running, pool) in [
+            (PriorityClass::Interactive, interactive, interactive_pool),
+            (PriorityClass::Batch, batch, batch_pool),
+        ] {
+            let base = (pool / running.max(1)).max(1);
+            let mut remainder = pool.saturating_sub(base * running);
+            for entry in entries.list.iter_mut().filter(|entry| entry.class == class) {
+                if let State::Running { handle, cores } = &mut entry.state {
+                    let share = base + usize::from(remainder > 0);
+                    remainder = remainder.saturating_sub(1);
+                    if *cores != share {
+                        *cores = share;
+                        // A no-op until the batch attaches the handle; the
+                        // gateway bridges that window by reading
+                        // `running` right before the batch starts.
+                        handle.set_total(share);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+
+    fn limits(max_interactive: usize, max_batch: usize, queue_depth: usize) -> AdmissionLimits {
+        AdmissionLimits {
+            max_interactive,
+            max_batch,
+            queue_depth,
+        }
+    }
+
+    fn enter(table: &RequestTable, class: PriorityClass) -> (RequestId, Option<usize>) {
+        table.enter(class, CancelToken::new()).unwrap()
+    }
+
+    /// Enter a request that must run at once.
+    fn run(table: &RequestTable, class: PriorityClass) -> RequestId {
+        let (id, position) = enter(table, class);
+        assert_eq!(position, None, "request {id} must run at once");
+        id
+    }
+
+    fn cores(table: &RequestTable, id: RequestId) -> Option<usize> {
+        table.running(id).map(|(_, cores)| cores)
+    }
 
     #[test]
     fn class_names_round_trip() {
@@ -275,121 +423,178 @@ mod tests {
 
     #[test]
     fn limits_are_per_class() {
-        let limits = AdmissionLimits {
-            max_interactive: 3,
-            max_batch: 1,
-            queue_depth: 4,
-        };
-        assert!(limits.admit(PriorityClass::Batch, 0).is_ok());
-        assert_eq!(
-            limits.admit(PriorityClass::Batch, 1),
-            Err(ServeError::Overloaded {
-                class: PriorityClass::Batch,
-                limit: 1
-            })
-        );
+        let limits = limits(3, 1, 4);
+        assert_eq!(limits.limit(PriorityClass::Batch), 1);
+        let table = RequestTable::new(limits, 4);
+        run(&table, PriorityClass::Batch);
+        assert_eq!(enter(&table, PriorityClass::Batch).1, Some(1));
         // The batch class being full never affects interactive admission.
-        assert!(limits.admit(PriorityClass::Interactive, 2).is_ok());
+        for _ in 0..3 {
+            run(&table, PriorityClass::Interactive);
+        }
+        assert_eq!(enter(&table, PriorityClass::Interactive).1, Some(1));
     }
 
     #[test]
     fn zero_limits_clamp_to_one() {
-        let limits = AdmissionLimits {
-            max_interactive: 0,
-            max_batch: 0,
-            queue_depth: 4,
-        };
+        let limits = limits(0, 0, 4);
         assert_eq!(limits.limit(PriorityClass::Interactive), 1);
-        assert!(limits.admit(PriorityClass::Batch, 0).is_ok());
+        let table = RequestTable::new(limits, 4);
+        run(&table, PriorityClass::Batch);
+        assert_eq!(enter(&table, PriorityClass::Batch).1, Some(1));
     }
 
     #[test]
     fn over_limit_requests_queue_and_only_overflow_refuses() {
-        let queue = AdmissionQueue::new(AdmissionLimits {
-            max_interactive: 8,
-            max_batch: 1,
-            queue_depth: 2,
-        });
-        assert_eq!(queue.enqueue(PriorityClass::Batch), Ok(Enqueued::Admitted));
-        let first = queue.enqueue(PriorityClass::Batch).unwrap();
-        let second = queue.enqueue(PriorityClass::Batch).unwrap();
-        assert!(matches!(first, Enqueued::Queued { position: 1, .. }));
-        assert!(matches!(second, Enqueued::Queued { position: 2, .. }));
+        let table = RequestTable::new(limits(8, 1, 2), 4);
+        run(&table, PriorityClass::Batch);
+        assert_eq!(enter(&table, PriorityClass::Batch).1, Some(1));
+        assert_eq!(enter(&table, PriorityClass::Batch).1, Some(2));
         // Lane full: the third waiter is the only refusal left.
         assert_eq!(
-            queue.enqueue(PriorityClass::Batch),
+            table.enter(PriorityClass::Batch, CancelToken::new()),
             Err(ServeError::Overloaded {
                 class: PriorityClass::Batch,
                 limit: 1
             })
         );
-        // A full batch lane never blocks interactive arrivals.
-        assert_eq!(
-            queue.enqueue(PriorityClass::Interactive),
-            Ok(Enqueued::Admitted)
-        );
+        // A full batch lane never blocks interactive arrivals, and the
+        // refused arrival spent id 3.
+        assert_eq!(run(&table, PriorityClass::Interactive), 4);
     }
 
     #[test]
     fn released_slots_admit_waiters_in_fifo_order() {
-        let queue = Arc::new(AdmissionQueue::new(AdmissionLimits {
-            max_interactive: 8,
-            max_batch: 1,
-            queue_depth: 4,
-        }));
-        assert_eq!(queue.enqueue(PriorityClass::Batch), Ok(Enqueued::Admitted));
-        let Ok(Enqueued::Queued { ticket: a, .. }) = queue.enqueue(PriorityClass::Batch) else {
-            panic!("second batch request must queue");
-        };
-        let Ok(Enqueued::Queued { ticket: b, .. }) = queue.enqueue(PriorityClass::Batch) else {
-            panic!("third batch request must queue");
-        };
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let waiters: Vec<_> = [a, b]
-            .into_iter()
-            .map(|ticket| {
-                let queue = Arc::clone(&queue);
-                let order = Arc::clone(&order);
-                std::thread::spawn(move || {
-                    let outcome = queue.await_turn(PriorityClass::Batch, ticket, || false);
-                    assert_eq!(outcome, QueueOutcome::Admitted);
-                    order.lock().unwrap().push(ticket);
-                    queue.release(PriorityClass::Batch);
-                })
-            })
-            .collect();
-        queue.release(PriorityClass::Batch);
-        for waiter in waiters {
-            waiter.join().unwrap();
-        }
+        let table = RequestTable::new(limits(8, 1, 4), 4);
+        let first = run(&table, PriorityClass::Batch);
+        let (a, _) = enter(&table, PriorityClass::Batch);
+        let (b, _) = enter(&table, PriorityClass::Batch);
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for id in [a, b] {
+                let (table, order) = (&table, &order);
+                scope.spawn(move || {
+                    assert!(table.await_turn(id, || false));
+                    order.lock().unwrap().push(id);
+                    table.release(id);
+                });
+            }
+            table.release(first);
+        });
         assert_eq!(*order.lock().unwrap(), vec![a, b], "strict arrival order");
-        assert_eq!(queue.in_flight(PriorityClass::Batch), 0);
-        assert_eq!(queue.queued_len(PriorityClass::Batch), 0);
+        assert_eq!(table.in_flight(PriorityClass::Batch), 0);
+        assert_eq!(table.queued_len(PriorityClass::Batch), 0);
     }
 
     #[test]
     fn giving_up_removes_the_ticket_and_unblocks_the_lane() {
-        let queue = AdmissionQueue::new(AdmissionLimits {
-            max_interactive: 8,
-            max_batch: 1,
-            queue_depth: 4,
-        });
-        assert_eq!(queue.enqueue(PriorityClass::Batch), Ok(Enqueued::Admitted));
-        let Ok(Enqueued::Queued { ticket, .. }) = queue.enqueue(PriorityClass::Batch) else {
-            panic!("second batch request must queue");
-        };
+        let table = RequestTable::new(limits(8, 1, 4), 4);
+        run(&table, PriorityClass::Batch);
+        let (waiter, _) = enter(&table, PriorityClass::Batch);
         // An expired deadline surfaces on the first poll tick.
-        let outcome = queue.await_turn(PriorityClass::Batch, ticket, || true);
-        assert_eq!(outcome, QueueOutcome::GaveUp);
-        assert_eq!(queue.queued_len(PriorityClass::Batch), 0);
-        // The abandoned ticket freed its lane slot for new arrivals.
-        let next = queue.enqueue(PriorityClass::Batch).unwrap();
-        assert!(matches!(next, Enqueued::Queued { position: 1, .. }));
+        assert!(!table.await_turn(waiter, || true));
+        assert_eq!(table.queued_len(PriorityClass::Batch), 0);
+        // The abandoned waiter freed its lane place for new arrivals.
+        assert_eq!(enter(&table, PriorityClass::Batch).1, Some(1));
     }
 
     #[test]
     fn retry_hints_grow_with_position() {
-        assert_eq!(AdmissionQueue::retry_hint_ms(1), 100);
-        assert!(AdmissionQueue::retry_hint_ms(5) > AdmissionQueue::retry_hint_ms(1));
+        assert_eq!(RequestTable::retry_hint_ms(1), 100);
+        assert!(RequestTable::retry_hint_ms(5) > RequestTable::retry_hint_ms(1));
+    }
+
+    #[test]
+    fn batch_requests_split_cores_evenly_until_interactive_arrives() {
+        let table = RequestTable::new(limits(8, 8, 8), 8);
+        let b1 = run(&table, PriorityClass::Batch);
+        assert_eq!(cores(&table, b1), Some(8));
+        let b2 = run(&table, PriorityClass::Batch);
+        // Admitting the second batch halves the first.
+        assert_eq!((cores(&table, b1), cores(&table, b2)), (Some(4), Some(4)));
+
+        // An interactive arrival squeezes every batch to one core and
+        // takes the rest.
+        let i1 = run(&table, PriorityClass::Interactive);
+        assert_eq!(cores(&table, i1), Some(6));
+        assert_eq!(cores(&table, b1), Some(1));
+        assert_eq!(cores(&table, b2), Some(1));
+
+        // A second interactive splits the reclaimed pool.
+        let i2 = run(&table, PriorityClass::Interactive);
+        assert_eq!((cores(&table, i1), cores(&table, i2)), (Some(3), Some(3)));
+
+        // Interactive work finishing hands the cores straight back.
+        table.release(i1);
+        table.release(i2);
+        assert_eq!(cores(&table, b1), Some(4));
+        assert_eq!(cores(&table, b2), Some(4));
+    }
+
+    #[test]
+    fn remainder_goes_to_earliest_admitted() {
+        let table = RequestTable::new(limits(8, 8, 8), 7);
+        let b1 = run(&table, PriorityClass::Batch);
+        let b2 = run(&table, PriorityClass::Batch);
+        let b3 = run(&table, PriorityClass::Batch);
+        assert_eq!(cores(&table, b1), Some(3));
+        assert_eq!(cores(&table, b2), Some(2));
+        assert_eq!(cores(&table, b3), Some(2));
+    }
+
+    #[test]
+    fn allocation_without_funding_never_perturbs_the_split() {
+        let table = RequestTable::new(limits(8, 1, 4), 8);
+        let b1 = run(&table, PriorityClass::Batch);
+        // A queued arrival holds an id but no cores.
+        let (queued, _) = enter(&table, PriorityClass::Batch);
+        assert_eq!(cores(&table, b1), Some(8));
+        assert_eq!(cores(&table, queued), None);
+        // Giving up while queued releases nothing and changes nothing.
+        assert!(!table.await_turn(queued, || true));
+        table.release(queued);
+        assert_eq!(cores(&table, b1), Some(8));
+        // Admission, not arrival, is what moves the split.
+        let i1 = run(&table, PriorityClass::Interactive);
+        assert_eq!((cores(&table, b1), cores(&table, i1)), (Some(1), Some(7)));
+    }
+
+    #[test]
+    fn more_requests_than_cores_floor_at_one_each() {
+        let table = RequestTable::new(limits(8, 8, 8), 2);
+        let ids: Vec<_> = (0..4).map(|_| run(&table, PriorityClass::Batch)).collect();
+        for id in &ids {
+            assert_eq!(cores(&table, *id), Some(1));
+        }
+        let i = run(&table, PriorityClass::Interactive);
+        assert_eq!(cores(&table, i), Some(1));
+    }
+
+    #[test]
+    fn release_is_idempotent() {
+        let table = RequestTable::new(limits(8, 8, 8), 4);
+        let b1 = run(&table, PriorityClass::Batch);
+        let b2 = run(&table, PriorityClass::Batch);
+        table.release(b1);
+        table.release(b1);
+        assert_eq!(table.in_flight(PriorityClass::Batch), 1);
+        assert_eq!(cores(&table, b2), Some(4));
+    }
+
+    #[test]
+    fn cancel_reaches_waiting_and_running_requests() {
+        let table = RequestTable::new(limits(8, 1, 4), 4);
+        let (running, waiting) = (CancelToken::new(), CancelToken::new());
+        let (r, _) = table.enter(PriorityClass::Batch, running.clone()).unwrap();
+        let (w, _) = table.enter(PriorityClass::Batch, waiting.clone()).unwrap();
+        assert!(table.cancel(w));
+        assert!(waiting.is_cancelled() && !running.is_cancelled());
+        assert!(!table.cancel(w + 1), "an unknown id is not found");
+        assert_eq!(table.cancel_all(), 2);
+        assert!(running.is_cancelled());
+        table.release(r);
+        table.release(w);
+        assert!(table.is_empty());
+        assert!(!table.cancel(r), "a released request is not found");
     }
 }

@@ -16,7 +16,7 @@ pub enum ServeError {
     /// Admission control rejected the request: the class already has
     /// `limit` requests in flight *and* its admission queue is full.
     /// (An over-limit request with queue room waits its turn instead;
-    /// see [`crate::admission::AdmissionQueue`].)  Maps to HTTP 429; the
+    /// see [`crate::admission::RequestTable`].)  Maps to HTTP 429; the
     /// client should back off and retry later (or resubmit as the other
     /// class, where policy allows).
     Overloaded {

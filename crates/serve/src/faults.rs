@@ -127,12 +127,6 @@ impl FaultPlan {
         self
     }
 
-    /// How long stall sites sleep (default 50 ms).
-    pub fn with_stall(mut self, stall: Duration) -> Self {
-        self.stall = stall;
-        self
-    }
-
     /// Parse a plan string: comma-separated `key=value` pairs where the
     /// keys are `seed`, `stall-ms`, `skew-ms` and any [`FaultSite`]
     /// name (value = firing rate).  Example:

@@ -1,11 +1,10 @@
 //! The gateway: the transport-independent heart of `verifas serve`.
 //!
 //! A [`Gateway`] owns the server-global components — the
-//! [`SessionCache`] of loaded engines, the [`AdmissionQueue`] that holds
-//! over-limit requests instead of refusing them, the core-budget
-//! [`Arbiter`], the optional [`MemoryBudget`] that byte-accounts live
-//! search state, the [`Metrics`] registry and the table of cancellable
-//! in-flight requests — and runs one verification request end to end:
+//! [`SessionCache`] of loaded engines, the [`RequestTable`] that admits,
+//! queues, cancels and splits the cores between requests, the optional
+//! [`MemoryBudget`] that byte-accounts live search state and the
+//! [`Metrics`] registry — and runs one verification request end to end:
 //! compile, look up (or load) the session, admit or queue, stream
 //! per-property frames as searches finish, emit the terminal `done`
 //! frame, release the cores.
@@ -14,17 +13,16 @@
 //! through a caller-supplied sink, so the HTTP layer (`crate::http`),
 //! in-process tests and any future transport share exactly one request
 //! path.  `submit` runs on the *caller's* thread — the server's
-//! connection pool provides the concurrency, and the arbiter decides how
-//! many cores each concurrent call may use.
+//! connection pool provides the concurrency, and the request table
+//! decides how many cores each concurrent call may use.
 //!
-//! Every resource a request holds — its admission slot, its core lease,
-//! its cancel-table entry, its terminal lifecycle counter — is released
-//! by a single RAII guard, so no exit path (including a panic unwinding
-//! out of the engine, e.g. one injected by a [`FaultPlan`]) can leak a
+//! A request's table entry (its lane place or slot, its cores and its
+//! cancel token) and its terminal lifecycle counter are released by a
+//! single RAII guard, so no exit path (including a panic unwinding out
+//! of the engine, e.g. one injected by a [`FaultPlan`]) can leak a
 //! gauge.
 
-use crate::admission::{AdmissionLimits, AdmissionQueue, Enqueued, PriorityClass, QueueOutcome};
-use crate::arbiter::{Arbiter, RequestId};
+use crate::admission::{AdmissionLimits, PriorityClass, RequestId, RequestTable};
 use crate::error::ServeError;
 use crate::faults::{FaultPlan, FaultSite};
 use crate::metrics::{type_line, write_metric, Metrics, RequestOutcome};
@@ -34,7 +32,7 @@ use crate::protocol::{
 };
 use crate::session::SessionCache;
 use std::cell::Cell;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use verifas_core::{
     spec_hash, spec_hash_hex, BatchSummary, CancelToken, MemoryBudget, ReuseMode, VerifasError,
@@ -49,7 +47,7 @@ pub type FrameSink<'f> = &'f (dyn Fn(&str) + Send + Sync);
 /// Configuration of a [`Gateway`] (and therefore of a server).
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// The server-global core budget the arbiter distributes.
+    /// The server-global core budget the request table splits.
     pub cores: usize,
     /// How many loaded engine sessions the LRU keeps.
     pub sessions: usize,
@@ -85,16 +83,11 @@ impl Default for ServeConfig {
 /// The transport-independent server core (see module docs).
 pub struct Gateway {
     sessions: SessionCache,
-    queue: AdmissionQueue,
-    arbiter: Arbiter,
+    requests: RequestTable,
     metrics: Metrics,
     reuse: ReuseMode,
     memory: Option<MemoryBudget>,
     faults: Option<Arc<FaultPlan>>,
-    /// Cancel tokens of queued and running requests, so `/v1/cancel`
-    /// (and server shutdown) can stop every search of a running batch —
-    /// and pull a still-waiting request out of the admission queue.
-    active: Mutex<Vec<(RequestId, CancelToken)>>,
 }
 
 impl Gateway {
@@ -108,13 +101,11 @@ impl Gateway {
     pub fn with_faults(config: ServeConfig, faults: Option<Arc<FaultPlan>>) -> Self {
         Gateway {
             sessions: SessionCache::with_max_bytes(config.sessions, config.memory_bytes),
-            queue: AdmissionQueue::new(config.limits),
-            arbiter: Arbiter::new(config.cores),
+            requests: RequestTable::new(config.limits, config.cores),
             metrics: Metrics::new(),
             reuse: config.reuse,
             memory: (config.memory_bytes > 0).then(|| MemoryBudget::new(config.memory_bytes)),
             faults,
-            active: Mutex::new(Vec::new()),
         }
     }
 
@@ -170,62 +161,58 @@ impl Gateway {
         }
         let deadline = budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms as u64));
 
-        let id = self.arbiter.allocate();
         let token = CancelToken::new();
-        let enqueued = self.queue.enqueue(request.class).inspect_err(|_| {
-            self.metrics.rejected(request.class);
-        })?;
+        let (id, position) = self
+            .requests
+            .enter(request.class, token.clone())
+            .inspect_err(|_| self.metrics.rejected(request.class))?;
 
-        // From here on the request is visible (cancellable even while
-        // queued), and the guard guarantees its admission slot, core
-        // lease, cancel-table entry and terminal lifecycle counter on
-        // *every* exit path — including a panic unwinding through this
-        // frame.
-        lock(&self.active).push((id, token.clone()));
+        // From here on the request is in the table (cancellable even
+        // while queued), and the guard releases its entry and records its
+        // terminal lifecycle counter on *every* exit path — including a
+        // panic unwinding through this frame.
         let guard = RequestGuard {
             gateway: self,
             id,
             class: request.class,
-            slot: Cell::new(matches!(enqueued, Enqueued::Admitted)),
             outcome: Cell::new(None),
         };
 
-        if let Enqueued::Queued { ticket, position } = enqueued {
+        if let Some(position) = position {
             self.metrics.queued(request.class);
             emit(&queued_frame(
                 id,
                 request.class,
                 position,
-                AdmissionQueue::retry_hint_ms(position),
+                RequestTable::retry_hint_ms(position),
             ));
-            let waited = self.queue.await_turn(request.class, ticket, || {
+            let runs = self.requests.await_turn(id, || {
                 token.is_cancelled() || deadline.is_some_and(|at| Instant::now() >= at)
             });
-            match waited {
-                QueueOutcome::Admitted => guard.slot.set(true),
-                QueueOutcome::GaveUp => {
-                    // Cancelled or expired while still waiting: nothing
-                    // ran, so the batch reports itself fully aborted.
-                    let summary = BatchSummary {
-                        properties: properties.len(),
-                        completed: 0,
-                        cancelled: properties.len(),
-                        errors: 0,
-                        aborted: true,
-                    };
-                    emit(&done_frame(id, &summary));
-                    guard.outcome.set(Some(RequestOutcome::Cancelled));
-                    return Ok(summary);
-                }
+            if !runs {
+                // Cancelled or expired while still waiting: nothing ran,
+                // so the batch reports itself fully aborted.
+                let summary = BatchSummary {
+                    properties: properties.len(),
+                    completed: 0,
+                    cancelled: properties.len(),
+                    errors: 0,
+                    aborted: true,
+                };
+                emit(&done_frame(id, &summary));
+                guard.outcome.set(Some(RequestOutcome::Cancelled));
+                return Ok(summary);
             }
         }
 
         self.metrics.admitted(request.class);
-        let admission = self.arbiter.fund(id, request.class);
-        // Between funding and start the arbiter may already have revised
-        // our allocation (another request arrived); read the live value
-        // so the first round runs at the arbitrated width.
-        let cores = self.arbiter.desired(id).unwrap_or(admission.cores);
+        // Other arrivals and departures since admission may already have
+        // revised our cores; read the live value so the first round runs
+        // at the current width.
+        let (handle, cores) = self
+            .requests
+            .running(id)
+            .expect("an admitted request runs until its guard releases it");
         emit(&admitted_frame(
             id,
             &spec_hash_hex_of(hash),
@@ -269,7 +256,7 @@ impl Gateway {
             .batch()
             .batch_threads(cores)
             .cancel_token(token.clone())
-            .scheduler_handle(&admission.handle)
+            .scheduler_handle(&handle)
             .on_event(&on_event)
             .on_result(&mut on_result);
         // Per-request search limits: unlike the wall-clock deadline these
@@ -303,24 +290,13 @@ impl Gateway {
     /// not an error: the race between completion and cancellation is
     /// inherent).
     pub fn cancel(&self, id: RequestId) -> bool {
-        let active = lock(&self.active);
-        match active.iter().find(|(active_id, _)| *active_id == id) {
-            Some((_, token)) => {
-                token.cancel();
-                true
-            }
-            None => false,
-        }
+        self.requests.cancel(id)
     }
 
     /// Cancel every in-flight request (server shutdown).  Returns how
     /// many requests were signalled.
     pub fn cancel_all(&self) -> usize {
-        let active = lock(&self.active);
-        for (_, token) in active.iter() {
-            token.cancel();
-        }
-        active.len()
+        self.requests.cancel_all()
     }
 
     /// Compile `source` and return `(spec name, canonical hash)` — the
@@ -389,7 +365,7 @@ impl Gateway {
                 &mut out,
                 "verifas_requests_in_flight",
                 &[("class", class.name())],
-                self.arbiter.in_flight(class) as u64,
+                self.requests.in_flight(class) as u64,
             );
         }
         type_line(&mut out, "verifas_queue_depth", "gauge");
@@ -398,7 +374,7 @@ impl Gateway {
                 &mut out,
                 "verifas_queue_depth",
                 &[("class", class.name())],
-                self.queue.queued_len(class) as u64,
+                self.requests.queued_len(class) as u64,
             );
         }
         type_line(&mut out, "verifas_cores_total", "gauge");
@@ -406,7 +382,7 @@ impl Gateway {
             &mut out,
             "verifas_cores_total",
             &[],
-            self.arbiter.total_cores() as u64,
+            self.requests.total_cores() as u64,
         );
         type_line(&mut out, "verifas_memory_budget_bytes", "gauge");
         write_metric(
@@ -453,14 +429,10 @@ impl Gateway {
         &self.sessions
     }
 
-    /// The admission queue (tests and diagnostics).
-    pub fn queue(&self) -> &AdmissionQueue {
-        &self.queue
-    }
-
-    /// The core arbiter (tests and diagnostics).
-    pub fn arbiter(&self) -> &Arbiter {
-        &self.arbiter
+    /// The table of queued and running requests (tests and
+    /// diagnostics).
+    pub fn requests(&self) -> &RequestTable {
+        &self.requests
     }
 
     /// The counter registry (tests and diagnostics).
@@ -474,18 +446,15 @@ impl Gateway {
     }
 }
 
-/// Releases everything one request holds — its cancel-table entry, its
-/// admission-queue slot, its core lease — and records its terminal
-/// lifecycle counter, exactly once, on every exit path out of
-/// [`Gateway::submit`].  Cleanup lives in `Drop` so a panic unwinding
+/// Releases the request's table entry (its lane place or slot, its cores,
+/// its cancel token) and records its terminal lifecycle counter, exactly
+/// once, on every exit path out of [`Gateway::submit`].  Cleanup lives in `Drop` so a panic unwinding
 /// through the request path (a real bug, or a [`FaultPlan`] detonation)
 /// can never leak a gauge.
 struct RequestGuard<'g> {
     gateway: &'g Gateway,
     id: RequestId,
     class: PriorityClass,
-    /// Whether the request currently holds an in-flight admission slot.
-    slot: Cell<bool>,
     /// The recorded terminal outcome; `None` (a panic escaped before the
     /// `done` frame) finishes as [`RequestOutcome::Failed`].
     outcome: Cell<Option<RequestOutcome>>,
@@ -493,11 +462,7 @@ struct RequestGuard<'g> {
 
 impl Drop for RequestGuard<'_> {
     fn drop(&mut self) {
-        lock(&self.gateway.active).retain(|(active_id, _)| *active_id != self.id);
-        if self.slot.get() {
-            self.gateway.queue.release(self.class);
-        }
-        self.gateway.arbiter.release(self.id);
+        self.gateway.requests.release(self.id);
         self.gateway.metrics.finished(
             self.class,
             self.outcome.get().unwrap_or(RequestOutcome::Failed),
@@ -539,15 +504,10 @@ fn spec_hash_hex_of(hash: u64) -> String {
     format!("{hash:016x}")
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
     use verifas_core::{Engine, Json};
 
     const SPEC: &str = r#"
@@ -614,11 +574,10 @@ property "never-done" on Root {
         assert_eq!(summary.properties, 2);
         assert_eq!(summary.completed, 2);
         assert!(!summary.aborted);
-        // The request released its cores, its queue slot and its cancel
-        // slot.
-        assert_eq!(gateway.arbiter().in_flight(PriorityClass::Interactive), 0);
-        assert_eq!(gateway.queue().in_flight(PriorityClass::Interactive), 0);
-        assert!(lock(&gateway.active).is_empty());
+        // The request released its table entry: its slot, its cores and
+        // its cancel token.
+        assert_eq!(gateway.requests().in_flight(PriorityClass::Interactive), 0);
+        assert!(gateway.requests().is_empty());
     }
 
     #[test]
@@ -760,10 +719,10 @@ property "reaches-done" on Root {
                 name: "nope".to_owned()
             }
         );
-        // Refused before admission: nothing leaked into the arbiter or
-        // the queue.
-        assert_eq!(gateway.arbiter().in_flight(PriorityClass::Interactive), 0);
-        assert_eq!(gateway.queue().in_flight(PriorityClass::Interactive), 0);
+        // Refused before admission: nothing leaked into the request
+        // table.
+        assert_eq!(gateway.requests().in_flight(PriorityClass::Interactive), 0);
+        assert!(gateway.requests().is_empty());
     }
 
     #[test]
@@ -779,19 +738,20 @@ property "reaches-done" on Root {
         });
         // Occupy the single interactive slot directly, so the submit
         // below must queue behind it.
-        assert!(matches!(
-            gateway.queue().enqueue(PriorityClass::Interactive).unwrap(),
-            Enqueued::Admitted
-        ));
+        let (occupier, position) = gateway
+            .requests()
+            .enter(PriorityClass::Interactive, CancelToken::new())
+            .unwrap();
+        assert_eq!(position, None);
         std::thread::scope(|scope| {
             let gateway = &gateway;
             let worker = scope.spawn(move || collected(gateway, &request(SPEC)));
             // Wait until the request is visibly queued, then free the
             // slot it is waiting for.
-            while gateway.queue().queued_len(PriorityClass::Interactive) == 0 {
+            while gateway.requests().queued_len(PriorityClass::Interactive) == 0 {
                 std::thread::sleep(Duration::from_millis(5));
             }
-            gateway.queue().release(PriorityClass::Interactive);
+            gateway.requests().release(occupier);
             let (frames, summary) = worker.join().unwrap();
             let kinds: Vec<_> = frames.iter().map(|f| frame_kind(f)).collect();
             assert_eq!(kinds[0], "queued", "{frames:?}");
@@ -802,8 +762,8 @@ property "reaches-done" on Root {
             assert!(queued.get("retry_ms").and_then(Json::as_u64).unwrap() >= 50);
             assert_eq!(summary.completed, 2);
         });
-        assert_eq!(gateway.queue().in_flight(PriorityClass::Interactive), 0);
-        assert!(lock(&gateway.active).is_empty());
+        assert_eq!(gateway.requests().in_flight(PriorityClass::Interactive), 0);
+        assert!(gateway.requests().is_empty());
         let text = gateway.metrics_text();
         assert!(text.contains("verifas_requests_queued_total{class=\"interactive\"} 1"));
     }
@@ -819,18 +779,28 @@ property "reaches-done" on Root {
             ..ServeConfig::default()
         });
         // Fill the slot and the whole queue.
-        gateway.queue().enqueue(PriorityClass::Interactive).unwrap();
-        assert!(matches!(
-            gateway.queue().enqueue(PriorityClass::Interactive).unwrap(),
-            Enqueued::Queued { .. }
-        ));
+        let requests = gateway.requests();
+        let (occupier, _) = requests
+            .enter(PriorityClass::Interactive, CancelToken::new())
+            .unwrap();
+        let (waiter, position) = requests
+            .enter(PriorityClass::Interactive, CancelToken::new())
+            .unwrap();
+        assert_eq!(position, Some(1));
         let err = gateway.submit(&request(SPEC), &|_| {}).unwrap_err();
         assert!(matches!(err, ServeError::Overloaded { .. }), "{err:?}");
-        // The refusal leaked nothing.
-        assert_eq!(gateway.arbiter().in_flight(PriorityClass::Interactive), 0);
-        assert!(lock(&gateway.active).is_empty());
+        // The refusal leaked nothing: the table holds just the occupier
+        // and the waiter.
+        assert_eq!(requests.in_flight(PriorityClass::Interactive), 1);
+        assert_eq!(requests.queued_len(PriorityClass::Interactive), 1);
         let text = gateway.metrics_text();
         assert!(text.contains("verifas_requests_rejected_total{class=\"interactive\"} 1"));
+        // The refused arrival still spent an id: ids count arrivals.
+        requests.release(occupier);
+        requests.release(waiter);
+        let (frames, _) = collected(&gateway, &request(SPEC));
+        let admitted = Json::parse(&frames[0]).unwrap();
+        assert_eq!(admitted.get("request").and_then(Json::as_u64), Some(3));
     }
 
     #[test]
@@ -845,7 +815,10 @@ property "reaches-done" on Root {
         });
         // Occupy the slot and never release it: the queued request's
         // deadline must expire while it waits.
-        gateway.queue().enqueue(PriorityClass::Interactive).unwrap();
+        gateway
+            .requests()
+            .enter(PriorityClass::Interactive, CancelToken::new())
+            .unwrap();
         let mut req = request(SPEC);
         req.deadline_ms = Some(1);
         let (frames, summary) = collected(&gateway, &req);
@@ -853,10 +826,10 @@ property "reaches-done" on Root {
         assert_eq!(kinds, vec!["queued", "done"], "{frames:?}");
         assert!(summary.aborted);
         assert_eq!(summary.completed, 0);
-        // The request never held a slot; the occupier still does.
-        assert_eq!(gateway.queue().in_flight(PriorityClass::Interactive), 1);
-        assert_eq!(gateway.arbiter().in_flight(PriorityClass::Interactive), 0);
-        assert!(lock(&gateway.active).is_empty());
+        // The request never held a slot and has left its lane; the
+        // occupier still runs.
+        assert_eq!(gateway.requests().in_flight(PriorityClass::Interactive), 1);
+        assert_eq!(gateway.requests().queued_len(PriorityClass::Interactive), 0);
         let text = gateway.metrics_text();
         assert!(text.contains(
             "verifas_requests_finished_total{class=\"interactive\",outcome=\"cancelled\"} 1"
@@ -897,11 +870,9 @@ property "reaches-done" on Root {
         let report = Json::parse(&frames[1]).unwrap();
         let message = report.get("error").and_then(Json::as_str).unwrap();
         assert!(message.contains("panicked"), "{message}");
-        // Nothing leaked: cores, queue slots and the cancel table are
-        // all clean.
-        assert_eq!(gateway.arbiter().in_flight(PriorityClass::Interactive), 0);
-        assert_eq!(gateway.queue().in_flight(PriorityClass::Interactive), 0);
-        assert!(lock(&gateway.active).is_empty());
+        // Nothing leaked: the request table is clean.
+        assert_eq!(gateway.requests().in_flight(PriorityClass::Interactive), 0);
+        assert!(gateway.requests().is_empty());
         assert!(
             gateway
                 .faults()

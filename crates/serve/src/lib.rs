@@ -9,15 +9,16 @@
 //! * [`session`] — an LRU of loaded [`verifas_core::Engine`]s keyed by
 //!   the canonical spec hash ([`verifas_core::spec_hash`]), so a
 //!   re-submitted spec pays zero preprocessing,
-//! * [`admission`] — priority classes (`interactive` / `batch`) with
-//!   per-class in-flight limits and a bounded FIFO queue: over-limit
-//!   requests wait their turn (with a `queued` frame and retry hint)
-//!   and only queue *overflow* draws a typed `overloaded` refusal,
-//! * [`arbiter`] — the server-global core budget: interactive arrivals
-//!   squeeze running batch requests to a one-core floor *mid-search*
-//!   through [`verifas_core::SchedulerHandle`] (safe because rounds are
-//!   bit-identical for any worker count — preemption never changes a
-//!   verdict),
+//! * [`admission`] — priority classes (`interactive` / `batch`) and the
+//!   one [`RequestTable`] of queued and running requests: per-class
+//!   in-flight limits with a bounded FIFO lane (over-limit requests wait
+//!   their turn with a `queued` frame and retry hint, and only lane
+//!   *overflow* draws a typed `overloaded` refusal), each request's
+//!   cancel token, and the server-global core split (interactive
+//!   arrivals squeeze running batch requests to a one-core floor
+//!   *mid-search* through [`verifas_core::SchedulerHandle`], which is
+//!   safe because rounds are bit-identical for any worker count —
+//!   preemption never changes a verdict),
 //! * [`metrics`] — engine [`verifas_core::ProgressEvent`]s and request
 //!   lifecycle folded into Prometheus-style counters for `/metrics`,
 //! * [`protocol`] — the JSON request envelope and the newline-delimited
@@ -33,7 +34,6 @@
 //!   [`std::net::TcpListener`] with a fixed worker pool.
 
 pub mod admission;
-pub mod arbiter;
 pub mod error;
 pub mod faults;
 pub mod gateway;
@@ -42,8 +42,7 @@ pub mod metrics;
 pub mod protocol;
 pub mod session;
 
-pub use admission::{AdmissionLimits, AdmissionQueue, Enqueued, PriorityClass, QueueOutcome};
-pub use arbiter::{Admission, Arbiter, RequestId};
+pub use admission::{AdmissionLimits, PriorityClass, RequestId, RequestTable};
 pub use error::ServeError;
 pub use faults::{FaultPlan, FaultSite};
 pub use gateway::{FrameSink, Gateway, ServeConfig};

@@ -14,8 +14,7 @@
 //! [`verifas_core::Json`] — no I/O — which keeps it equally usable from
 //! the HTTP layer and from in-process tests.
 
-use crate::admission::PriorityClass;
-use crate::arbiter::RequestId;
+use crate::admission::{PriorityClass, RequestId};
 use crate::error::ServeError;
 use crate::session::SessionReuse;
 use verifas_core::{BatchSummary, Json, VerificationReport};

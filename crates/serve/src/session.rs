@@ -171,35 +171,6 @@ impl SessionCache {
         }
     }
 
-    /// Look up the session for `hash`, loading it with `load` on a miss.
-    /// Returns the (shared) engine and whether the lookup was a hit.
-    ///
-    /// The cache lock is held across `load`, deliberately: two concurrent
-    /// first requests for the same spec must produce *one* engine — the
-    /// second caller waits and then hits, instead of both building and
-    /// one being thrown away (which would double every preprocessing the
-    /// engines later accumulate).
-    pub fn get_or_load(
-        &self,
-        hash: u64,
-        load: impl FnOnce() -> Result<Engine, VerifasError>,
-    ) -> Result<(Arc<Engine>, bool), VerifasError> {
-        let mut inner = lock_ignoring_poison(&self.inner);
-        if let Some(position) = inner.iter().position(|(key, _)| *key == hash) {
-            // Touch: move to the front of the recency list.
-            let entry = inner.remove(position);
-            let engine = Arc::clone(&entry.1);
-            inner.insert(0, entry);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((engine, true));
-        }
-        let engine = Arc::new(load()?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        inner.insert(0, (hash, Arc::clone(&engine)));
-        self.evict_over_budget(&mut inner);
-        Ok((engine, false))
-    }
-
     /// Look up the session for `hash`; on a miss, try to *upgrade* a
     /// delta-compatible cached session via [`Engine::load_delta`] before
     /// falling back to a cold load.  `spec` must be the lowered spec
@@ -210,9 +181,13 @@ impl SessionCache {
     /// the same spec repeatedly, so the freshest session is almost
     /// always the right (and the richest) base.  The upgraded engine is
     /// cached under the *new* hash; the base stays cached under its own,
-    /// so further edits can still branch from either. Like
-    /// [`SessionCache::get_or_load`], the lock is held across the load
-    /// so concurrent first requests produce one engine.
+    /// so further edits can still branch from either.
+    ///
+    /// The cache lock is held across the load, deliberately: two
+    /// concurrent first requests for the same spec must produce *one*
+    /// engine — the second caller waits and then hits, instead of both
+    /// building and one being thrown away (which would double every
+    /// preprocessing the engines later accumulate).
     ///
     /// With [`ReuseMode::Cold`] no upgrade is attempted — every miss
     /// loads from scratch (the PR 6 behaviour).
@@ -299,7 +274,7 @@ mod tests {
     use verifas_model::schema::attr::data;
     use verifas_model::{Condition, DatabaseSchema, SpecBuilder, TaskBuilder, Term};
 
-    fn tiny_engine(name: &str) -> Engine {
+    fn tiny_spec(name: &str) -> HasSpec {
         let mut db = DatabaseSchema::new();
         db.add_relation("R", vec![data("a")]).unwrap();
         let mut root = TaskBuilder::new("Root");
@@ -313,21 +288,30 @@ mod tests {
         );
         let mut b = SpecBuilder::new(name, db, root.build());
         b.global_pre(Condition::eq(Term::var(status), Term::Null));
-        Engine::load(b.build().unwrap()).unwrap()
+        b.build().unwrap()
+    }
+
+    /// Look `key` up, cold-loading the tiny spec on a miss; returns the
+    /// engine and whether the lookup hit.
+    fn lookup(cache: &SessionCache, key: u64) -> (Arc<Engine>, bool) {
+        let (engine, reuse) = cache
+            .get_or_upgrade(key, tiny_spec("s"), ReuseMode::Cold)
+            .unwrap();
+        (engine, reuse.is_hit())
     }
 
     #[test]
     fn eviction_order_is_deterministic_lru() {
         let cache = SessionCache::new(2);
         for key in [1u64, 2, 3] {
-            let (_, hit) = cache.get_or_load(key, || Ok(tiny_engine("s"))).unwrap();
+            let (_, hit) = lookup(&cache, key);
             assert!(!hit);
         }
         // Capacity 2: inserting 3 evicted 1 (the least recently used).
         assert_eq!(cache.keys_mru(), vec![3, 2]);
         // Touching 2 protects it; inserting 4 now evicts 3.
-        assert!(cache.get_or_load(2, || unreachable!()).unwrap().1);
-        cache.get_or_load(4, || Ok(tiny_engine("s"))).unwrap();
+        assert!(lookup(&cache, 2).1);
+        lookup(&cache, 4);
         assert_eq!(cache.keys_mru(), vec![4, 2]);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 4, 2));
@@ -337,8 +321,8 @@ mod tests {
     #[test]
     fn hits_share_one_engine() {
         let cache = SessionCache::new(4);
-        let (first, _) = cache.get_or_load(7, || Ok(tiny_engine("s"))).unwrap();
-        let (second, hit) = cache.get_or_load(7, || unreachable!()).unwrap();
+        let (first, _) = lookup(&cache, 7);
+        let (second, hit) = lookup(&cache, 7);
         assert!(hit);
         assert!(Arc::ptr_eq(&first, &second));
     }
@@ -349,7 +333,7 @@ mod tests {
         // so a budget below one base can hold exactly one entry.
         let cache = SessionCache::with_max_bytes(8, 1);
         for key in [1u64, 2, 3] {
-            cache.get_or_load(key, || Ok(tiny_engine("s"))).unwrap();
+            lookup(&cache, key);
         }
         assert_eq!(cache.keys_mru(), vec![3], "budget keeps the MRU entry");
         assert_eq!(cache.stats().evictions, 2);
@@ -360,28 +344,26 @@ mod tests {
     fn forced_eviction_pops_the_lru_entry() {
         let cache = SessionCache::new(4);
         assert!(!cache.evict_lru(), "empty cache has nothing to evict");
-        cache.get_or_load(1, || Ok(tiny_engine("s"))).unwrap();
-        cache.get_or_load(2, || Ok(tiny_engine("s"))).unwrap();
+        lookup(&cache, 1);
+        lookup(&cache, 2);
         assert!(cache.evict_lru());
         assert_eq!(cache.keys_mru(), vec![2]);
         assert_eq!(cache.stats().evictions, 1);
         // The evicted spec simply reloads on its next request.
-        let (_, hit) = cache.get_or_load(1, || Ok(tiny_engine("s"))).unwrap();
+        let (_, hit) = lookup(&cache, 1);
         assert!(!hit);
     }
 
     #[test]
     fn failed_loads_cache_nothing() {
         let cache = SessionCache::new(4);
-        let result = cache.get_or_load(9, || {
-            Err(VerifasError::Internal {
-                reason: "boom".to_owned(),
-            })
-        });
+        let mut invalid = tiny_spec("s");
+        invalid.tasks.clear();
+        let result = cache.get_or_upgrade(9, invalid, ReuseMode::Cold);
         assert!(result.is_err());
         assert!(cache.keys_mru().is_empty());
         // The next lookup for the same key loads again.
-        let (_, hit) = cache.get_or_load(9, || Ok(tiny_engine("s"))).unwrap();
+        let (_, hit) = lookup(&cache, 9);
         assert!(!hit);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! verifas check    <spec.has> [--prop NAME] [--threads N] [--json OUT]
-//!                             [--base PRIOR.json] [--incremental MODE]
+//!                             [--base PRIOR.json]
 //!                             [--max-states N] [--max-millis MS]
 //! verifas batch    <spec.has> [--all-props] [--threads N] [--json OUT]
 //!                             [--batch-threads N]
@@ -47,9 +47,8 @@
 //! hashes plus report fingerprints) in the output document; a later
 //! `check --base out.json` on the *edited* spec reuses every prior
 //! report whose task slice, property and options are provably unchanged
-//! and verifies only the rest.  `--incremental cold` disables reuse, and
-//! `preproc` (the default with `--base`) also shares preprocessing
-//! within the run.
+//! and verifies only the rest.  `serve --incremental` picks how much an
+//! edited spec reuses from a cached session instead.
 //! Exit codes: 0 — every requested verification completed (whatever the
 //! verdict); 1 — `fmt --check` found unformatted input; 2 — any error
 //! (parse, resolution, I/O, usage).
@@ -92,9 +91,8 @@ options:
   --prop NAME        check only the named property (check only)
   --base PRIOR.json  check: reuse reports from a prior `--json` snapshot
                      whose task slice / property / options are unchanged
-  --incremental MODE reuse mode: `cold` or `preproc` (check:
-                     default `preproc` when --base is given, else `cold`;
-                     serve: default `preproc`)
+  --incremental MODE serve: how much an edited spec reuses from a
+                     cached session, `cold` or `preproc` (default)
   --all-props        verify every property (batch; this is the default)
   --threads N        worker threads (check: per search; batch: core budget; 0 = auto)
   --batch-threads N  batch: core budget shared by the whole batch (0 = auto;
@@ -163,7 +161,6 @@ fn allowed_flags(command: &str) -> &'static [&'static str] {
             "--threads",
             "--json",
             "--base",
-            "--incremental",
             "--max-states",
             "--max-millis",
         ],
@@ -868,18 +865,12 @@ fn check(options: &Options, source: &str, batch: bool) -> Result<ExitCode, Strin
         return Ok(ExitCode::SUCCESS);
     }
     let name = spec.name.clone();
-    // Reuse mode: `--incremental` wins; otherwise `preproc` when a base
-    // snapshot is given, `cold` (the historical behaviour) when not.
-    let mode = options.incremental.unwrap_or(if options.base.is_some() {
-        ReuseMode::Preproc
-    } else {
-        ReuseMode::Cold
-    });
-    let base = match &options.base {
-        Some(path) if mode != ReuseMode::Cold => Some(BaseSnapshot::load(path)?),
-        _ => None,
-    };
-    let engine = Engine::load_with_reuse(spec, verifier_options(options), mode)
+    let base = options
+        .base
+        .as_deref()
+        .map(BaseSnapshot::load)
+        .transpose()?;
+    let engine = Engine::load_with_options(spec, verifier_options(options))
         .map_err(|e| format!("error: {}: {e}", options.file))?;
     println!("{name}: verifying {} properties", selected.len());
     let reports: Vec<Result<VerificationReport, VerifasError>> = if batch {
@@ -925,10 +916,7 @@ fn check(options: &Options, source: &str, batch: bool) -> Result<ExitCode, Strin
             })
             .collect();
         if base.is_some() {
-            println!(
-                "incremental ({mode}): reused {reused} of {} reports",
-                selected.len()
-            );
+            println!("incremental: reused {reused} of {} reports", selected.len());
         }
         reports
     };

@@ -107,7 +107,7 @@ fn await_drained(gateway: &Gateway) {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         let drained = PriorityClass::ALL.iter().all(|&class| {
-            gateway.arbiter().in_flight(class) == 0 && gateway.queue().queued_len(class) == 0
+            gateway.requests().in_flight(class) == 0 && gateway.requests().queued_len(class) == 0
         });
         if drained {
             return;

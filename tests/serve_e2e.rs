@@ -1,7 +1,7 @@
 //! End-to-end tests of the `verifas serve` service layer.
 //!
 //! The server's whole value proposition is that putting a multi-tenant
-//! gateway, a session cache and a core arbiter between the client and
+//! gateway, a session cache and a request table between the client and
 //! the engine changes *nothing* about the answers: every report that
 //! comes out of a served request must be bit-identical (modulo timing
 //! and machine-sharing fields) to a direct `Engine::check_all` of the
@@ -158,7 +158,7 @@ fn resubmitted_spec_reuses_cached_session_and_matches_direct_check_all() {
 }
 
 /// A long batch request is running; an interactive request arrives,
-/// which makes the arbiter squeeze the batch to its one-core floor
+/// which makes the request table squeeze the batch to its one-core floor
 /// mid-search (through the scheduler handle, picked up at the next
 /// round boundary).  Scheduling rounds are bit-identical for any worker
 /// count, so the batch's verdicts, witnesses and search statistics must
@@ -207,7 +207,7 @@ fn interactive_arrival_mid_batch_never_changes_batch_results() {
         })
     };
 
-    // Wait for the batch to be admitted (it holds its arbiter slot from
+    // Wait for the batch to be admitted (it holds its slot and cores from
     // this moment until its `done` frame), then hit the server with an
     // interactive request.
     let admitted = Json::parse(&frame_rx.recv().unwrap()).unwrap();
@@ -342,8 +342,8 @@ fn over_limit_batch_queues_and_only_queue_overflow_is_refused() {
     let text = gateway.metrics_text();
     assert!(text.contains("verifas_requests_queued_total{class=\"batch\"} 1"));
     assert!(text.contains("verifas_requests_rejected_total{class=\"batch\"} 1"));
-    assert_eq!(gateway.queue().queued_len(PriorityClass::Batch), 0);
-    assert_eq!(gateway.queue().in_flight(PriorityClass::Batch), 0);
+    assert_eq!(gateway.requests().queued_len(PriorityClass::Batch), 0);
+    assert_eq!(gateway.requests().in_flight(PriorityClass::Batch), 0);
 }
 
 #[test]
@@ -389,7 +389,7 @@ fn server_side_cancel_stops_every_search_of_a_batch() {
         "the terminal frame must distinguish an aborted stream from a finished one"
     );
     // The cancelled request released its slot: the server is not wedged.
-    assert_eq!(gateway.arbiter().in_flight(PriorityClass::Batch), 0);
+    assert_eq!(gateway.requests().in_flight(PriorityClass::Batch), 0);
 }
 
 #[test]
@@ -494,7 +494,7 @@ fn cancel_after_done_is_a_not_found_no_op() {
         !gateway.cancel(id + 1000),
         "an unknown id is the same no-op"
     );
-    assert_eq!(gateway.arbiter().in_flight(PriorityClass::Interactive), 0);
+    assert_eq!(gateway.requests().in_flight(PriorityClass::Interactive), 0);
 }
 
 /// Cancelling the same in-flight request twice is idempotent: both
@@ -541,8 +541,8 @@ fn double_cancel_is_idempotent() {
         1,
         "a double-cancelled stream still ends in exactly one done frame"
     );
-    assert_eq!(gateway.arbiter().in_flight(PriorityClass::Batch), 0);
-    assert_eq!(gateway.queue().in_flight(PriorityClass::Batch), 0);
+    assert_eq!(gateway.requests().in_flight(PriorityClass::Batch), 0);
+    assert!(gateway.requests().is_empty());
 }
 
 /// `Server::shutdown` with a request mid-stream: the in-flight batch is
@@ -690,7 +690,7 @@ fn client_disconnect_mid_stream_reclaims_cores_and_gauges() {
     // which every gauge must return to zero.
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        if server.gateway().arbiter().in_flight(PriorityClass::Batch) == 0 {
+        if server.gateway().requests().in_flight(PriorityClass::Batch) == 0 {
             break;
         }
         assert!(

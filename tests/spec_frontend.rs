@@ -4,9 +4,12 @@
 //! fulfillment) lower *bit-identically* to their programmatic builders —
 //! same `HasSpec`, same `LtlFoProperty`, and same verdict, witness and
 //! search statistics when run through the engine.  The `verifas` binary
-//! rejects an unknown `--incremental` mode with a usage error.
+//! rejects a flag its command does not take with a usage error, and its
+//! `check --json` → `check --base` edit loop reuses exactly the reports
+//! an edit leaves valid.
 
 use std::path::{Path, PathBuf};
+use verifas::core::Json;
 use verifas::prelude::*;
 use verifas::spec::{self, CompiledSpec};
 use verifas::workloads::{
@@ -291,19 +294,33 @@ fn frontend_errors_are_typed_and_spanned() {
     }
 }
 
+/// Run the `verifas` binary from the repository root.
+fn verifas(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_verifas"))
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .args(args)
+        .output()
+        .expect("the verifas binary runs")
+}
+
+/// Run `verifas`, expecting a usage error (exit 2); returns its stderr.
+fn usage_error(args: &[&str]) -> String {
+    let output = verifas(args);
+    assert_eq!(output.status.code(), Some(2), "{args:?}");
+    String::from_utf8_lossy(&output.stderr).into_owned()
+}
+
 #[test]
 fn check_rejects_an_unknown_incremental_mode() {
-    let usage_error = |args: &[&str]| {
-        let output = std::process::Command::new(env!("CARGO_BIN_EXE_verifas"))
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .args(args)
-            .output()
-            .expect("the verifas binary runs");
-        assert_eq!(output.status.code(), Some(2), "{args:?}");
-        String::from_utf8_lossy(&output.stderr).into_owned()
-    };
     let spec = "examples/specs/conference_review.has";
-    let stderr = usage_error(&["check", spec, "--incremental", "replay"]);
+    // `check` reuses reports only through `--base`: it takes no mode.
+    let stderr = usage_error(&["check", spec, "--incremental", "cold"]);
+    assert!(
+        stderr.contains("--incremental does not apply to `check`"),
+        "{stderr}"
+    );
+    // An unknown mode fails while parsing, before `serve` binds a socket.
+    let stderr = usage_error(&["serve", "--incremental", "replay"]);
     assert!(
         stderr.contains("`cold`") && stderr.contains("`preproc`"),
         "{stderr}"
@@ -317,4 +334,96 @@ fn check_rejects_an_unknown_incremental_mode() {
         stderr.contains("--write does not apply to `check`"),
         "{stderr}"
     );
+}
+
+/// The `check --json` → `check --base` edit loop: an unchanged spec
+/// reuses every definite report, an edit re-verifies exactly the
+/// properties of the tasks it touched (matching a cold `check`), and a
+/// missing or malformed snapshot is a usage error.
+#[test]
+fn check_base_reuses_exactly_the_reports_an_edit_leaves_valid() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("edit-loop");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let check = |args: &[&str]| {
+        let output = verifas(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "{args:?}: {stderr}");
+        String::from_utf8(output.stdout).unwrap()
+    };
+    let reports = |file: &str| -> Vec<VerificationReport> {
+        let doc = Json::parse(&std::fs::read_to_string(file).unwrap()).unwrap();
+        doc.get("reports")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|report| VerificationReport::from_json(&report.to_string()).unwrap())
+            .collect()
+    };
+    let spec = "examples/specs/cicd_pipeline.has";
+    let base = path("base.json");
+    check(&["check", spec, "--json", &base]);
+    let doc = Json::parse(&std::fs::read_to_string(&base).unwrap()).unwrap();
+    let decided = doc
+        .get("incremental")
+        .and_then(|snapshot| snapshot.get("reports"))
+        .and_then(Json::as_array)
+        .unwrap()
+        .len();
+    assert_eq!(decided, 4, "every pipeline property has a definite verdict");
+
+    let stdout = check(&["check", spec, "--base", &base]);
+    assert!(
+        stdout.contains("incremental: reused 4 of 4 reports"),
+        "{stdout}"
+    );
+
+    // Widening a root guard with a constant the spec already has leaves
+    // the child tasks' slices unchanged: only the `Build` property keeps
+    // its report.
+    let source = std::fs::read_to_string(spec).unwrap();
+    let edited_source = source.replacen(
+        "pre: phase == \"Deployed\";",
+        "pre: phase == \"Deployed\" || phase == \"Green\";",
+        1,
+    );
+    assert_ne!(edited_source, source);
+    let edited = path("edited.has");
+    std::fs::write(&edited, edited_source).unwrap();
+    let (warm, cold) = (path("warm.json"), path("cold.json"));
+    let stdout = check(&["check", &edited, "--base", &base, "--json", &warm]);
+    assert!(
+        stdout.contains("incremental: reused 1 of 4 reports"),
+        "{stdout}"
+    );
+    let reused: Vec<&str> = stdout
+        .lines()
+        .filter(|line| line.ends_with("[reused]"))
+        .collect();
+    assert_eq!(reused.len(), 1, "{stdout}");
+    assert!(
+        reused[0].trim_start().starts_with("tests-gate-promotion:"),
+        "{stdout}"
+    );
+    check(&["check", &edited, "--json", &cold]);
+    let (warm, cold) = (reports(&warm), reports(&cold));
+    assert_eq!(warm.len(), cold.len());
+    for (warm, cold) in warm.iter().zip(&cold) {
+        assert_eq!(comparable(warm), comparable(cold), "{}", warm.property);
+    }
+
+    let garbled = path("garbled.json");
+    std::fs::write(&garbled, "not json").unwrap();
+    let foreign = path("foreign.json");
+    std::fs::write(&foreign, "{\"spec\": \"cicd-pipeline\"}").unwrap();
+    let missing = path("missing.json");
+    let _ = std::fs::remove_file(&missing);
+    for (snapshot, message) in [
+        (&missing, "cannot read"),
+        (&garbled, "invalid JSON"),
+        (&foreign, "no \"incremental\" member"),
+    ] {
+        let stderr = usage_error(&["check", spec, "--base", snapshot]);
+        assert!(stderr.contains(message), "{stderr}");
+    }
 }
