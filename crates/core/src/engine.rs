@@ -689,7 +689,7 @@ pub struct BatchBuilder<'e, 'f> {
 
 impl<'e, 'f> BatchBuilder<'e, 'f> {
     /// The core budget shared by the whole batch (0 = one per available
-    /// core).
+    /// core).  A [`BatchBuilder::scheduler_handle`] takes its place.
     pub fn batch_threads(mut self, threads: usize) -> Self {
         self.batch.batch_threads = threads;
         self
@@ -732,12 +732,14 @@ impl<'e, 'f> BatchBuilder<'e, 'f> {
         self
     }
 
-    /// Attach a [`SchedulerHandle`] to the batch: while the batch runs,
-    /// [`SchedulerHandle::set_total`] resizes its total core budget and
-    /// re-splits it over the running searches — how a multi-tenant server
-    /// reclaims cores from a long batch for a newly arrived interactive
-    /// request without waiting for it.  The handle detaches itself when
-    /// the batch finishes.
+    /// Run the batch on `handle`'s live total core budget in place of
+    /// [`BatchBuilder::batch_threads`]: the batch starts with the
+    /// handle's total, and [`SchedulerHandle::set_total`] resizes it and
+    /// re-splits it over the running searches — how a multi-tenant
+    /// server reclaims cores from a long batch for a newly arrived
+    /// interactive request without waiting for it.  A resize made while
+    /// the batch still builds its preprocessing sizes the batch it
+    /// starts.
     pub fn scheduler_handle(mut self, handle: &SchedulerHandle) -> Self {
         self.scheduler_handle = Some(handle.clone());
         self
@@ -792,10 +794,10 @@ impl<'e, 'f> BatchBuilder<'e, 'f> {
             return (Vec::new(), BatchSummary::default());
         }
         let deadline = self.deadline.map(|d| Instant::now() + d);
-        let mut scheduler = Scheduler::new(self.batch, properties.len());
-        if let Some(handle) = &self.scheduler_handle {
-            scheduler.attach(handle);
-        }
+        let scheduler = match &self.scheduler_handle {
+            Some(handle) => Scheduler::with_handle(handle, properties.len()),
+            None => Scheduler::new(self.batch, properties.len()),
+        };
         let on_result = self.on_result.map(Mutex::new);
         let outputs = scheduler.run(|index, handle| {
             let property = &properties[index];

@@ -188,16 +188,6 @@ impl<'o> SearchControl<'o> {
         }
     }
 
-    /// Report the live frontier width to the installed [`ThreadBudget`]
-    /// (no-op when this run is not batch-scheduled).  The scheduler
-    /// weights the straggler budget split by these widths; the value is
-    /// advisory and never changes a result.
-    pub(crate) fn report_frontier(&self, width: usize) {
-        if let Some(budget) = &self.thread_budget {
-            budget.report_frontier(width);
-        }
-    }
-
     /// Re-account the run's estimated resident size against the
     /// installed memory lease.  Returns `false` when the budget refused
     /// the grow — the caller stops at this boundary, exactly like a

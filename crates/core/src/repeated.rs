@@ -398,11 +398,9 @@ fn build_abstract_edges(
             cycle.completed = false;
             break;
         }
-        // Wave boundary: report the remaining work as the frontier hint
-        // and re-poll the dynamic thread budget, if one is installed (the
-        // merged graph is position-ordered, so the worker count of a wave
-        // cannot change the result).
-        control.report_frontier(n - processed);
+        // Wave boundary: re-poll the dynamic thread budget, if one is
+        // installed (the merged graph is position-ordered, so the worker
+        // count of a wave cannot change the result).
         let workers = control.workers_for_round(workers);
         cycle.threads = cycle.threads.max(workers);
         crate::search::ensure_worker_slots(&mut worker_stats, workers);

@@ -525,13 +525,10 @@ impl<'a> KarpMillerSearch<'a> {
             if frontier.is_empty() {
                 break SearchOutcome::Exhausted;
             }
-            // Round boundary: report the live frontier width (the
-            // scheduler weights straggler budgets by it) and re-poll the
-            // dynamic thread budget, if one is installed.  A round is
-            // bit-identical for every worker count, so resizing the pool
-            // here cannot change the tree, the statistics, the verdict or
-            // the witness.
-            control.report_frontier(frontier.len());
+            // Round boundary: re-poll the dynamic thread budget, if one is
+            // installed.  A round is bit-identical for every worker count,
+            // so resizing the pool here cannot change the tree, the
+            // statistics, the verdict or the witness.
             workers = control.workers_for_round(configured);
             self.stats.threads = self.stats.threads.max(workers);
             ensure_worker_slots(&mut self.worker_stats, workers);

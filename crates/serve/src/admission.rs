@@ -20,20 +20,25 @@
 //!   requests split the server's cores evenly (the earliest request takes
 //!   the remainder); while any does, every batch request is squeezed to a
 //!   floor of one core and the interactive requests split the rest
-//!   evenly.  Waiting requests hold no cores and never move the split.
+//!   evenly.  Both splits are [`even_split`], the rule each batch's
+//!   scheduler applies to its own searches.  Waiting requests hold no
+//!   cores and never move the split.
 //!
-//! Revisions reach running batches through each running entry's
-//! [`SchedulerHandle`]: `set_total` re-splits the batch's shard budgets
-//! immediately, and workers adopt the new budget at their next search
-//! round boundary, not at the next request boundary.  Because plan/apply
-//! rounds are bit-identical for every worker count, this
-//! preemption-by-rebalance changes when answers arrive, never what they
-//! are.
+//! A running request's share lives in the [`SchedulerHandle`] the table
+//! creates when it admits the request, and the request's batch runs on
+//! that handle.  A revision is a `set_total` on it: before the batch
+//! starts it sets the total the batch starts with, and while the batch
+//! runs it re-splits the batch's shard budgets immediately, so workers
+//! adopt the new budget at their next search round boundary, not at the
+//! next request boundary.  Because plan/apply rounds are bit-identical
+//! for every worker count, this preemption-by-rebalance changes when
+//! answers arrive, never what they are.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use crate::error::ServeError;
+use verifas_core::schedule::even_split;
 use verifas_core::{CancelToken, SchedulerHandle};
 
 /// The scheduling class a request declares.
@@ -122,21 +127,16 @@ const POLL: Duration = Duration::from_millis(25);
 enum State {
     /// Holds a place in its class's lane; no slot, no cores.
     Waiting,
-    /// Holds an in-flight slot and `cores` of the server's budget, pushed
-    /// to the running batch through `handle`.
-    Running {
-        handle: SchedulerHandle,
-        cores: usize,
-    },
+    /// Holds an in-flight slot and its share of the server's cores, which
+    /// `handle` carries to the request's batch.
+    Running { handle: SchedulerHandle },
 }
 
 impl State {
-    /// A request just admitted: its handle is not attached to a batch
-    /// yet, and the next rebalance assigns its cores.
+    /// A request just admitted: the next rebalance sizes its share.
     fn start() -> Self {
         State::Running {
-            handle: SchedulerHandle::new(),
-            cores: 0,
+            handle: SchedulerHandle::new(1),
         }
     }
 }
@@ -235,7 +235,7 @@ impl RequestTable {
             state,
         });
         // A waiting arrival leaves every share as it was.
-        self.rebalance(&mut entries);
+        self.rebalance(&entries);
         Ok((id, position))
     }
 
@@ -264,13 +264,14 @@ impl RequestTable {
         }
     }
 
-    /// The scheduler handle and current cores of running request `id`.
-    /// Read this just before starting the batch: a revision since
-    /// admission is then already reflected in its first round.
-    pub fn running(&self, id: RequestId) -> Option<(SchedulerHandle, usize)> {
+    /// The scheduler handle of running request `id`.  It carries the
+    /// request's live share of the cores ([`SchedulerHandle::total`]): a
+    /// batch started on it runs on that share, and every later revision
+    /// reaches the batch through it.
+    pub fn running(&self, id: RequestId) -> Option<SchedulerHandle> {
         let entries = self.lock();
         match &entries.list[entries.position(id)?].state {
-            State::Running { handle, cores } => Some((handle.clone(), *cores)),
+            State::Running { handle } => Some(handle.clone()),
             State::Waiting => None,
         }
     }
@@ -293,7 +294,7 @@ impl RequestTable {
                 head.state = State::start();
                 self.started.notify_all();
             }
-            self.rebalance(&mut entries);
+            self.rebalance(&entries);
         }
     }
 
@@ -349,10 +350,10 @@ impl RequestTable {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Recompute every running request's cores and push each change
-    /// through its scheduler handle.  Called with the lock held, so the
-    /// split always matches the running set.
-    fn rebalance(&self, entries: &mut Entries) {
+    /// Recompute every running request's cores and set each on its
+    /// scheduler handle.  Called with the lock held, so the split always
+    /// matches the running set.
+    fn rebalance(&self, entries: &Entries) {
         let interactive = entries.count(PriorityClass::Interactive, true);
         let batch = entries.count(PriorityClass::Batch, true);
         // With interactive work present, batch requests drop to one core
@@ -367,20 +368,12 @@ impl RequestTable {
             (PriorityClass::Interactive, interactive, interactive_pool),
             (PriorityClass::Batch, batch, batch_pool),
         ] {
-            let base = (pool / running.max(1)).max(1);
-            let mut remainder = pool.saturating_sub(base * running);
-            for entry in entries.list.iter_mut().filter(|entry| entry.class == class) {
-                if let State::Running { handle, cores } = &mut entry.state {
-                    let share = base + usize::from(remainder > 0);
-                    remainder = remainder.saturating_sub(1);
-                    if *cores != share {
-                        *cores = share;
-                        // A no-op until the batch attaches the handle; the
-                        // gateway bridges that window by reading
-                        // `running` right before the batch starts.
-                        handle.set_total(share);
-                    }
-                }
+            let handles = entries.list.iter().filter_map(|entry| match &entry.state {
+                State::Running { handle } if entry.class == class => Some(handle),
+                _ => None,
+            });
+            for (handle, share) in handles.zip(even_split(pool, running)) {
+                handle.set_total(share);
             }
         }
     }
@@ -389,6 +382,7 @@ impl RequestTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use verifas_core::Scheduler;
 
     fn limits(max_interactive: usize, max_batch: usize, queue_depth: usize) -> AdmissionLimits {
         AdmissionLimits {
@@ -410,7 +404,7 @@ mod tests {
     }
 
     fn cores(table: &RequestTable, id: RequestId) -> Option<usize> {
-        table.running(id).map(|(_, cores)| cores)
+        table.running(id).map(|handle| handle.total())
     }
 
     #[test]
@@ -596,5 +590,18 @@ mod tests {
         table.release(w);
         assert!(table.is_empty());
         assert!(!table.cancel(r), "a released request is not found");
+    }
+
+    #[test]
+    fn a_squeeze_before_the_batch_starts_reaches_it() {
+        let table = RequestTable::new(limits(8, 8, 8), 4);
+        let batch = run(&table, PriorityClass::Batch);
+        let handle = table.running(batch).unwrap();
+        // An interactive arrival squeezes the batch request while its
+        // engine still builds the batch's preprocessing.
+        run(&table, PriorityClass::Interactive);
+        let scheduler = Scheduler::with_handle(&handle, 1);
+        let results = scheduler.run(|_, job| job.budget().unwrap().current());
+        assert_eq!(results[0].as_ref().map(|(threads, _)| *threads), Some(1));
     }
 }

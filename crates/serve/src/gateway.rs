@@ -206,10 +206,9 @@ impl Gateway {
         }
 
         self.metrics.admitted(request.class);
-        // Other arrivals and departures since admission may already have
-        // revised our cores; read the live value so the first round runs
-        // at the current width.
-        let (handle, cores) = self
+        // The batch runs on the handle, so every revision of our cores
+        // reaches it, whenever it lands.
+        let handle = self
             .requests
             .running(id)
             .expect("an admitted request runs until its guard releases it");
@@ -218,7 +217,7 @@ impl Gateway {
             &spec_hash_hex_of(hash),
             reuse,
             request.class,
-            cores,
+            handle.total(),
             properties.len(),
         ));
 
@@ -254,7 +253,6 @@ impl Gateway {
             };
         let mut batch = engine
             .batch()
-            .batch_threads(cores)
             .cancel_token(token.clone())
             .scheduler_handle(&handle)
             .on_event(&on_event)

@@ -16,9 +16,10 @@
 //!   *overflow* draws a typed `overloaded` refusal), each request's
 //!   cancel token, and the server-global core split (interactive
 //!   arrivals squeeze running batch requests to a one-core floor
-//!   *mid-search* through [`verifas_core::SchedulerHandle`], which is
-//!   safe because rounds are bit-identical for any worker count —
-//!   preemption never changes a verdict),
+//!   *mid-search* through the [`verifas_core::SchedulerHandle`] each
+//!   request's batch runs on, created at admission so a squeeze lands
+//!   whenever it happens — safe because rounds are bit-identical for
+//!   any worker count, so preemption never changes a verdict),
 //! * [`metrics`] — engine [`verifas_core::ProgressEvent`]s and request
 //!   lifecycle folded into Prometheus-style counters for `/metrics`,
 //! * [`protocol`] — the JSON request envelope and the newline-delimited

@@ -6,7 +6,6 @@
 //!                             [--base PRIOR.json]
 //!                             [--max-states N] [--max-millis MS]
 //! verifas batch    <spec.has> [--all-props] [--threads N] [--json OUT]
-//!                             [--batch-threads N]
 //!                             [--max-states N] [--max-millis MS]
 //! verifas validate <spec.has>
 //! verifas hash     <spec.has>
@@ -95,8 +94,6 @@ options:
                      cached session, `cold` or `preproc` (default)
   --all-props        verify every property (batch; this is the default)
   --threads N        worker threads (check: per search; batch: core budget; 0 = auto)
-  --batch-threads N  batch: core budget shared by the whole batch (0 = auto;
-                     overrides --threads)
   --json OUT         write the reports as a JSON document to OUT
   --max-states N     per-phase state limit (default 100000)
   --max-millis MS    per-phase wall-clock limit (default 60000)
@@ -126,7 +123,6 @@ struct Options {
     base: Option<String>,
     incremental: Option<ReuseMode>,
     threads: usize,
-    batch_threads: Option<usize>,
     json: Option<String>,
     max_states: Option<usize>,
     max_millis: Option<u64>,
@@ -167,7 +163,6 @@ fn allowed_flags(command: &str) -> &'static [&'static str] {
         "batch" => &[
             "--all-props",
             "--threads",
-            "--batch-threads",
             "--json",
             "--max-states",
             "--max-millis",
@@ -204,7 +199,6 @@ fn parse_options(args: &[String], needs_file: bool) -> Result<Options, String> {
         base: None,
         incremental: None,
         threads: 1,
-        batch_threads: None,
         json: None,
         max_states: None,
         max_millis: None,
@@ -247,13 +241,6 @@ fn parse_options(args: &[String], needs_file: bool) -> Result<Options, String> {
                 options.threads = value_of("--threads", &mut iter)?
                     .parse()
                     .map_err(|_| "error: --threads needs a number".to_string())?
-            }
-            "--batch-threads" => {
-                options.batch_threads = Some(
-                    value_of("--batch-threads", &mut iter)?
-                        .parse()
-                        .map_err(|_| "error: --batch-threads needs a number".to_string())?,
-                )
             }
             "--json" => options.json = Some(value_of("--json", &mut iter)?),
             "--max-states" => {
@@ -888,7 +875,7 @@ fn check(options: &Options, source: &str, batch: bool) -> Result<ExitCode, Strin
         };
         engine
             .batch()
-            .batch_threads(options.batch_threads.unwrap_or(options.threads))
+            .batch_threads(options.threads)
             .on_result(&mut on_result)
             .run(&selected)
     } else {

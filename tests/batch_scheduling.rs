@@ -195,16 +195,16 @@ fn skewed_batches_are_schedule_invariant_and_reassign_cores() {
     assert_eq!(schedule.occupancy.last().unwrap().threads, 4);
 }
 
-/// The frontier-width-weighted straggler split (the scheduler weighs the
-/// post-drain budget split by each search's live frontier width) on the
-/// batch shape it exists for: `skewed_grid`'s one heavy root search plus
-/// many trivial `Chore` properties.  Weighting is advisory scheduling
+/// The post-drain straggler split (the scheduler splits the budget evenly
+/// over the searches still running, and the last one inherits it all) on
+/// the batch shape it exists for: `skewed_grid`'s one heavy root search
+/// plus many trivial `Chore` properties.  Budgets are advisory scheduling
 /// input only, so every result must stay bit-identical for every batch
 /// width and to independent sequential checks — and the straggler's
-/// occupancy timeline must be non-worse than the pre-weighting contract:
-/// it ends with the whole core budget and never dips below one thread.
+/// occupancy timeline ends with the whole core budget and never dips
+/// below one thread.
 #[test]
-fn skewed_grid_weighted_split_is_schedule_invariant() {
+fn skewed_grid_straggler_split_is_schedule_invariant() {
     let spec = skewed_grid(4);
     let engine = Engine::load_with_options(
         spec.clone(),
@@ -218,11 +218,10 @@ fn skewed_grid_weighted_split_is_schedule_invariant() {
     )
     .unwrap();
     let properties = skewed_batch_properties(&spec, 4);
-    assert_schedule_invariant(&engine, &properties, "skewed-grid weighted batch");
+    assert_schedule_invariant(&engine, &properties, "skewed-grid straggler batch");
     // Under an explicit budget the heavy search (property 0, the only
     // exhaustive one) must end up owning every core once the lights are
-    // done, exactly as before the weighted split — freed cores may only
-    // arrive earlier or in bigger slices, never stop arriving.
+    // done: freed cores never stop arriving.
     //
     // The straggler claim is only meaningful if the heavy search outlives
     // the lights, and OS scheduling does not guarantee that on a busy

@@ -328,6 +328,12 @@ fn check_rejects_an_unknown_incremental_mode() {
     // The batch scheduling policy is gone: the flag is unknown.
     let stderr = usage_error(&["batch", spec, "--schedule", "flat"]);
     assert!(stderr.contains("unknown option --schedule"), "{stderr}");
+    // `--threads` is the batch's core budget; the override flag is gone.
+    let stderr = usage_error(&["batch", spec, "--batch-threads", "2"]);
+    assert!(
+        stderr.contains("unknown option --batch-threads"),
+        "{stderr}"
+    );
     // A known flag of another command is rejected per command.
     let stderr = usage_error(&["check", spec, "--write"]);
     assert!(
