@@ -58,9 +58,10 @@ use crate::transition::{spec_constants, SymbolicTask};
 use crate::verifier::VerificationOutcome;
 use crate::verifier::{run_phases, VerifierOptions};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use verifas_ltl::{LtlFoProperty, PropertyHandle};
+use verifas_ltl::LtlFoProperty;
 use verifas_model::{DataValue, HasSpec, TaskId, VarType};
 
 /// Cache key of one spec-side preprocessing artefact.
@@ -85,13 +86,6 @@ struct PrepKey {
 struct TaskPreprocessing {
     task: SymbolicTask,
     spec_graph: std::sync::OnceLock<ConstraintGraph>,
-}
-
-impl TaskPreprocessing {
-    fn spec_graph(&self, spec: &HasSpec, task: TaskId) -> &ConstraintGraph {
-        self.spec_graph
-            .get_or_init(|| ConstraintGraph::build_spec_side(spec, task, &self.task.universe))
-    }
 }
 
 /// The preprocessing cache clears itself once it holds this many entries
@@ -127,6 +121,25 @@ impl ReportKey {
     }
 }
 
+/// What one [`Engine`] holds and has built so far (see
+/// [`Engine::cache_stats`]).  The three counts are this engine's own
+/// work: what [`Engine::load_delta`] carried in is counted in its
+/// [`DeltaSummary`], so a delta-loaded engine starts at zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EngineCacheStats {
+    /// Spec-side preprocessings currently cached.
+    pub cached_preprocessings: usize,
+    /// Finished reports currently cached.
+    pub cached_reports: usize,
+    /// Preprocessings (expression universe and compiled task) built on a
+    /// cache miss.
+    pub preprocessing_builds: usize,
+    /// Spec-side static-analysis constraint graphs built.
+    pub spec_graph_builds: usize,
+    /// Requests answered from the report cache, with no search.
+    pub reports_reused: usize,
+}
+
 /// A long-lived verification engine over one loaded specification.
 ///
 /// The engine is `Sync`: one engine can serve concurrent `check` calls
@@ -146,6 +159,10 @@ pub struct Engine {
     /// (so a later [`Engine::load_delta`] can carry them), only consulted
     /// on non-[`ReuseMode::Cold`] engines.
     reports: Mutex<HashMap<ReportKey, Arc<VerificationReport>>>,
+    /// This engine's own work, read through [`Engine::cache_stats`].
+    preprocessing_builds: AtomicUsize,
+    spec_graph_builds: AtomicUsize,
+    reports_reused: AtomicUsize,
 }
 
 impl Engine {
@@ -185,6 +202,9 @@ impl Engine {
             base_constants,
             cache: Mutex::new(HashMap::new()),
             reports: Mutex::new(HashMap::new()),
+            preprocessing_builds: AtomicUsize::new(0),
+            spec_graph_builds: AtomicUsize::new(0),
+            reports_reused: AtomicUsize::new(0),
         })
     }
 
@@ -197,9 +217,11 @@ impl Engine {
     /// without any search.
     ///
     /// Nothing is rebuilt for carried entries — the returned
-    /// [`DeltaSummary`] counts them — and nothing changed is ever
-    /// carried: the slice hash (see [`crate::delta::slice_hash`]) covers
-    /// the full dependency cone of each compiled artefact.  With
+    /// [`DeltaSummary`] counts them, and the build and reuse counts of the
+    /// new engine's [`Engine::cache_stats`] start at zero — and nothing
+    /// changed is ever carried: the slice hash (see
+    /// [`crate::delta::slice_hash`]) covers the full dependency cone of
+    /// each compiled artefact.  With
     /// [`ReuseMode::Cold`] this is equivalent to a fresh
     /// [`Engine::load_with_options`] (useful as a baseline).
     pub fn load_delta(
@@ -252,15 +274,16 @@ impl Engine {
         self.options
     }
 
-    /// Number of distinct spec-side preprocessings currently cached
-    /// (diagnostic; see [`crate::counters`] for process-wide build counts).
-    pub fn cached_preprocessings(&self) -> usize {
-        lock_ignoring_poison(&self.cache).len()
-    }
-
-    /// Number of finished reports currently cached (diagnostic).
-    pub fn cached_reports(&self) -> usize {
-        lock_ignoring_poison(&self.reports).len()
+    /// What this engine holds in its two caches and how much work it has
+    /// built or answered from them so far (tests and diagnostics).
+    pub fn cache_stats(&self) -> EngineCacheStats {
+        EngineCacheStats {
+            cached_preprocessings: lock_ignoring_poison(&self.cache).len(),
+            cached_reports: lock_ignoring_poison(&self.reports).len(),
+            preprocessing_builds: self.preprocessing_builds.load(Ordering::Relaxed),
+            spec_graph_builds: self.spec_graph_builds.load(Ordering::Relaxed),
+            reports_reused: self.reports_reused.load(Ordering::Relaxed),
+        }
     }
 
     /// Deterministic estimate of this engine's resident bytes — a fixed
@@ -274,28 +297,28 @@ impl Engine {
         const ENGINE_BASE_BYTES: usize = 64 << 10;
         const PREP_BYTES: usize = 256 << 10;
         const REPORT_BYTES: usize = 8 << 10;
+        let stats = self.cache_stats();
         ENGINE_BASE_BYTES
-            + self.cached_preprocessings() * PREP_BYTES
-            + self.cached_reports() * REPORT_BYTES
+            + stats.cached_preprocessings * PREP_BYTES
+            + stats.cached_reports * REPORT_BYTES
     }
 
     /// Build (or reuse) the spec-side preprocessing a property needs,
-    /// without running any search, and return the property's
-    /// [`PropertyHandle`].
+    /// without running any search.
     ///
-    /// A verification service calls this while admitting a batch — keyed
-    /// by the returned handle — so the first real request does not pay the
-    /// one-off setup cost; [`Engine::check_all`] warms the cache the same
-    /// way.
-    pub fn warm(&self, property: &LtlFoProperty) -> Result<PropertyHandle, VerifasError> {
+    /// A verification service calls this while admitting a batch, so the
+    /// first real request does not pay the one-off setup cost;
+    /// [`Engine::check_all`] warms the cache the same way.
+    pub fn warm(&self, property: &LtlFoProperty) -> Result<(), VerifasError> {
         property.validate(&self.spec)?;
         self.preprocessing(property, self.options);
-        Ok(property.handle())
+        Ok(())
     }
 
     /// Verify one property with the engine's default options.
     pub fn check(&self, property: &LtlFoProperty) -> Result<VerificationReport, VerifasError> {
         self.run_request(property, self.options, false, &mut SearchControl::default())
+            .map(|(report, _)| report)
     }
 
     /// [`Engine::check`] with phase 2 run by the retained O(active²)
@@ -315,6 +338,7 @@ impl Engine {
         contain_panic(|| {
             self.run_request(property, self.options, true, &mut SearchControl::default())
         })
+        .map(|(report, _)| report)
     }
 
     /// Start building one verification request.
@@ -337,7 +361,7 @@ impl Engine {
     ///
     /// The spec-side preprocessing (expression universe, compiled task,
     /// static-analysis graph) is built exactly once per distinct
-    /// (task, configuration) key — see [`crate::counters`] — and the
+    /// (task, configuration) key — see [`Engine::cache_stats`] — and the
     /// per-property searches are scheduled by [`crate::schedule`]'s
     /// [`Scheduler`]: wide while properties are queued, then cores freed
     /// by finished properties are reassigned to still-running searches.
@@ -415,6 +439,7 @@ impl Engine {
         }
         let mut constants = self.base_constants.clone();
         constants.extend(key.extra_constants.iter().cloned());
+        self.preprocessing_builds.fetch_add(1, Ordering::Relaxed);
         let universe = ExprUniverse::build(&self.spec, key.task, &key.global_types, &constants);
         let task = SymbolicTask::with_universe(&self.spec, key.task, universe, key.include_sets);
         let prep = Arc::new(TaskPreprocessing {
@@ -425,7 +450,8 @@ impl Engine {
         prep
     }
 
-    /// Run one request against the shared preprocessing.  A
+    /// Run one request against the shared preprocessing, returning its
+    /// report and whether the report cache answered it.  A
     /// `reference_phase2` request (see
     /// [`Engine::check_with_reference_phase2`]) bypasses the report cache.
     fn run_request(
@@ -434,15 +460,14 @@ impl Engine {
         options: VerifierOptions,
         reference_phase2: bool,
         control: &mut SearchControl<'_>,
-    ) -> Result<VerificationReport, VerifasError> {
+    ) -> Result<(VerificationReport, bool), VerifasError> {
         property.validate(&self.spec)?;
         let key = ReportKey::new(property, &options);
         let cached = !reference_phase2;
         if cached && self.reuse != ReuseMode::Cold {
             if let Some(report) = lock_ignoring_poison(&self.reports).get(&key) {
-                use std::sync::atomic::Ordering;
-                crate::counters::REPORTS_REUSED.fetch_add(1, Ordering::Relaxed);
-                return Ok((**report).clone());
+                self.reports_reused.fetch_add(1, Ordering::Relaxed);
+                return Ok(((**report).clone(), true));
             }
         }
         let prep = self.preprocessing(property, options);
@@ -450,9 +475,11 @@ impl Engine {
         // and the cached task was compiled from that same spec.
         let mut product = ProductSystem::with_task_prevalidated(prep.task.clone(), property);
         if options.static_analysis {
-            let graph = prep
-                .spec_graph(&self.spec, property.task)
-                .with_property(property, &product.task.universe);
+            let spec_graph = prep.spec_graph.get_or_init(|| {
+                self.spec_graph_builds.fetch_add(1, Ordering::Relaxed);
+                ConstraintGraph::build_spec_side(&self.spec, property.task, &prep.task.universe)
+            });
+            let graph = spec_graph.with_property(property, &product.task.universe);
             let removed = graph.non_violating_edges(&product.task.universe);
             product.set_static_removed(removed);
         }
@@ -509,7 +536,7 @@ impl Engine {
             }
             reports.insert(key, Arc::new(report.clone()));
         }
-        Ok(report)
+        Ok((report, false))
     }
 }
 
@@ -526,9 +553,7 @@ use crate::error::panic_message;
 
 /// Run one verification request, returning a panic inside it as a typed
 /// [`VerifasError::Internal`] — how a batch isolates each property.
-fn contain_panic(
-    run: impl FnOnce() -> Result<VerificationReport, VerifasError>,
-) -> Result<VerificationReport, VerifasError> {
+fn contain_panic<T>(run: impl FnOnce() -> Result<T, VerifasError>) -> Result<T, VerifasError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|panic| {
         Err(VerifasError::Internal {
             reason: format!(
@@ -635,6 +660,7 @@ impl<'e, 'o> VerificationBuilder<'e, 'o> {
         };
         self.engine
             .run_request(&property, self.options, false, &mut control)
+            .map(|(report, _)| report)
     }
 }
 
@@ -667,6 +693,9 @@ pub struct BatchSummary {
     pub cancelled: usize,
     /// Properties that reported a typed error instead of a report.
     pub errors: usize,
+    /// Completed properties the engine's report cache answered, with no
+    /// search (see [`EngineCacheStats::reports_reused`]).
+    pub reused: usize,
     /// `true` when the batch was stopped early: the batch-wide
     /// [`CancelToken`] fired, the batch deadline passed, or any property's
     /// report was cut short.  `false` means every submitted property ran
@@ -804,7 +833,7 @@ impl<'e, 'f> BatchBuilder<'e, 'f> {
             // A panic in one verification must neither poison the whole
             // batch nor abort the process: it becomes a typed per-property
             // error.
-            let report = contain_panic(|| {
+            let result = contain_panic(|| {
                 let mut forward = self
                     .on_event
                     .map(|sink| move |event: &ProgressEvent| sink(index, event));
@@ -818,6 +847,8 @@ impl<'e, 'f> BatchBuilder<'e, 'f> {
                 };
                 engine.run_request(property, options, false, &mut control)
             });
+            let reused = matches!(result, Ok((_, true)));
+            let report = result.map(|(report, _)| report);
             if let Some(callback) = &on_result {
                 handle.retire();
                 // The callback is observability only: a panic in user code
@@ -828,13 +859,15 @@ impl<'e, 'f> BatchBuilder<'e, 'f> {
                     (lock_ignoring_poison(callback))(index, &report)
                 }));
             }
-            report
+            (report, reused)
         });
+        let mut reused = 0;
         let results: Vec<Result<VerificationReport, VerifasError>> = outputs
             .into_iter()
             .enumerate()
             .map(|(index, slot)| match slot {
-                Some((mut report, stats)) => {
+                Some(((mut report, from_cache), stats)) => {
+                    reused += usize::from(from_cache);
                     if let Ok(report) = &mut report {
                         report.schedule = Some(stats);
                     }
@@ -853,6 +886,7 @@ impl<'e, 'f> BatchBuilder<'e, 'f> {
             .collect();
         let mut summary = BatchSummary {
             properties: results.len(),
+            reused,
             ..BatchSummary::default()
         };
         for result in &results {
@@ -994,12 +1028,11 @@ mod tests {
         let spec = flow_spec();
         let engine = Engine::load(spec.clone()).unwrap();
         let property = never("warmed", &spec, "Done");
-        let handle = engine.warm(&property).unwrap();
-        assert_eq!(handle, property.handle());
-        assert_eq!(engine.cached_preprocessings(), 1);
+        engine.warm(&property).unwrap();
+        assert_eq!(engine.cache_stats().cached_preprocessings, 1);
         // The subsequent check reuses the warmed preprocessing.
         engine.check(&property).unwrap();
-        assert_eq!(engine.cached_preprocessings(), 1);
+        assert_eq!(engine.cache_stats().cached_preprocessings, 1);
     }
 
     #[test]
@@ -1064,9 +1097,23 @@ mod tests {
                 completed: 2,
                 cancelled: 0,
                 errors: 0,
+                reused: 0,
                 aborted: false,
             }
         );
+    }
+
+    #[test]
+    fn a_batch_counts_the_properties_its_report_cache_answered() {
+        let spec = flow_spec();
+        let options = VerifierOptions::default();
+        let engine = Engine::load_with_reuse(spec.clone(), options, ReuseMode::Preproc).unwrap();
+        let properties = vec![never("a", &spec, "Done"), never("b", &spec, "Broken")];
+        let (_, first) = engine.batch().run_with_summary(&properties);
+        assert_eq!(first.reused, 0);
+        let (_, again) = engine.batch().run_with_summary(&properties);
+        assert_eq!((again.completed, again.reused), (2, 2));
+        assert_eq!(engine.cache_stats().reports_reused, 2);
     }
 
     #[test]
@@ -1110,19 +1157,21 @@ mod tests {
 
     #[test]
     fn preprocessing_is_cached_per_key() {
-        // (The strict exactly-once assertion via crate::counters lives in
-        // the facade's `check_all_sharing` integration test, which runs in
-        // its own process; the process-wide counters are not reliable here
-        // where other unit tests build universes concurrently.)
         let spec = flow_spec();
         let engine = Engine::load(spec.clone()).unwrap();
+        let built = |engine: &Engine| {
+            let stats = engine.cache_stats();
+            (stats.cached_preprocessings, stats.preprocessing_builds)
+        };
         engine.check(&never("p1", &spec, "Done")).unwrap();
         engine.check(&never("p2", &spec, "Working")).unwrap();
-        assert_eq!(engine.cached_preprocessings(), 1);
+        assert_eq!(built(&engine), (1, 1), "one build per key");
         // "Broken" introduces a constant the spec does not mention, so it
         // gets its own universe; the first two share one.
         engine.check(&never("p3", &spec, "Broken")).unwrap();
-        assert_eq!(engine.cached_preprocessings(), 2);
+        assert_eq!(built(&engine), (2, 2));
+        // One spec-side graph per preprocessing, each built once.
+        assert_eq!(engine.cache_stats().spec_graph_builds, 2);
     }
 
     #[test]
@@ -1131,8 +1180,8 @@ mod tests {
         let prior = Engine::load(spec.clone()).unwrap();
         let property = never("delta-carried", &spec, "Done");
         let cold = prior.check(&property).unwrap();
-        assert_eq!(prior.cached_preprocessings(), 1);
-        assert_eq!(prior.cached_reports(), 1);
+        let stats = prior.cache_stats();
+        assert_eq!((stats.cached_preprocessings, stats.cached_reports), (1, 1));
 
         let (warm, summary) = Engine::load_delta(&prior, spec.clone(), ReuseMode::Preproc).unwrap();
         assert_eq!(summary.tasks, 1);
@@ -1140,15 +1189,52 @@ mod tests {
         assert_eq!(summary.preps_carried, 1);
         assert_eq!(summary.reports_carried, 1);
         // The preprocessing was transplanted, not rebuilt: it is present
-        // before the warm engine has run anything.
-        assert_eq!(warm.cached_preprocessings(), 1);
+        // before the warm engine has run anything, and the warm engine's
+        // own counts start at zero.
+        assert_eq!(
+            warm.cache_stats(),
+            EngineCacheStats {
+                cached_preprocessings: 1,
+                cached_reports: 1,
+                ..EngineCacheStats::default()
+            }
+        );
 
         // The identical request is answered from the carried report — the
         // exact same report, wall-clock fields included.
         let warm_report = warm.check(&property).unwrap();
         assert_eq!(warm_report, cold);
         // No new preprocessing appeared to answer it.
-        assert_eq!(warm.cached_preprocessings(), 1);
+        let stats = warm.cache_stats();
+        assert_eq!(stats.cached_preprocessings, 1);
+        assert_eq!((stats.preprocessing_builds, stats.reports_reused), (0, 1));
+    }
+
+    /// A spec-side graph counts in the engine that builds it, also when
+    /// it is built on a preprocessing another engine carried in.
+    #[test]
+    fn a_spec_graph_counts_in_the_engine_that_builds_it() {
+        let spec = flow_spec();
+        let without_graph = VerifierOptions {
+            static_analysis: false,
+            ..VerifierOptions::default()
+        };
+        let prior = Engine::load_with_options(spec.clone(), without_graph).unwrap();
+        let property = never("graph-later", &spec, "Done");
+        prior.check(&property).unwrap();
+        assert_eq!(prior.cache_stats().spec_graph_builds, 0);
+        let (warm, _) = Engine::load_delta(&prior, spec, ReuseMode::Preproc).unwrap();
+        warm.verification()
+            .property(&property)
+            .options(VerifierOptions::default())
+            .run()
+            .unwrap();
+        let stats = warm.cache_stats();
+        assert_eq!(
+            (stats.preprocessing_builds, stats.spec_graph_builds),
+            (0, 1)
+        );
+        assert_eq!(prior.cache_stats().spec_graph_builds, 0);
     }
 
     /// The reference-phase-2 entry bypasses the report cache both ways:
@@ -1164,13 +1250,14 @@ mod tests {
         assert_eq!(reference.outcome, VerificationOutcome::Satisfied);
         // The reference oracle reports no cycle statistics.
         assert!(reference.repeated_stats.is_some() && reference.repeated_cycle.is_none());
-        assert_eq!(engine.cached_reports(), 0);
+        assert_eq!(engine.cache_stats().cached_reports, 0);
         let filtered = engine.check(&property).unwrap();
         assert!(filtered.repeated_cycle.is_some());
-        assert_eq!(engine.cached_reports(), 1);
+        assert_eq!(engine.cache_stats().cached_reports, 1);
         let again = engine.check_with_reference_phase2(&property).unwrap();
         assert!(again.repeated_cycle.is_none(), "answered from the cache");
-        assert_eq!(engine.cached_reports(), 1);
+        assert_eq!(engine.cache_stats().cached_reports, 1);
+        assert_eq!(engine.cache_stats().reports_reused, 0);
     }
 
     #[test]
@@ -1181,8 +1268,7 @@ mod tests {
         let (fresh, summary) = Engine::load_delta(&prior, spec, ReuseMode::Cold).unwrap();
         assert_eq!(summary.preps_carried, 0);
         assert_eq!(summary.reports_carried, 0);
-        assert_eq!(fresh.cached_preprocessings(), 0);
-        assert_eq!(fresh.cached_reports(), 0);
+        assert_eq!(fresh.cache_stats(), EngineCacheStats::default());
     }
 
     #[test]

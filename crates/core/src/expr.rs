@@ -94,7 +94,6 @@ impl ExprUniverse {
         global_types: &[VarType],
         constants: &BTreeSet<DataValue>,
     ) -> Self {
-        crate::counters::UNIVERSE_BUILDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut universe = ExprUniverse {
             exprs: Vec::new(),
             constants: Vec::new(),

@@ -38,7 +38,6 @@
 
 pub mod arena;
 pub mod baseline;
-pub mod counters;
 pub mod coverage;
 pub mod delta;
 pub mod engine;
@@ -67,7 +66,7 @@ pub use coverage::{accelerate, covers, CoverageKind};
 pub use delta::{fingerprint, slice_hash, DeltaSummary, ReuseMode, SpecDelta, TaskDelta};
 pub use engine::{
     spec_hash, spec_hash_hex, BatchBuilder, BatchEventSink, BatchResultCallback, BatchSummary,
-    Engine, VerificationBuilder,
+    Engine, EngineCacheStats, VerificationBuilder,
 };
 pub use error::{SourceSpan, VerifasError, VALID_OPTIMIZATIONS};
 pub use expr::{ExprHead, ExprId, ExprSort, ExprUniverse};

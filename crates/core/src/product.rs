@@ -181,11 +181,6 @@ impl ProductSystem {
 
     /// `true` iff the automaton state of a product state is accepting
     /// (candidate for an infinite violation through repeated reachability).
-    pub fn is_accepting(&self, state: &ProductState) -> bool {
-        self.automaton.buchi.accepting[state.buchi]
-    }
-
-    /// [`ProductSystem::is_accepting`] over a borrowed arena view.
     pub fn is_accepting_view(&self, state: StateView<'_>) -> bool {
         self.automaton.buchi.accepting[state.buchi]
     }
@@ -410,7 +405,7 @@ mod tests {
             frontier = next;
             assert!(!frontier.is_empty());
         }
-        assert!(frontier.iter().any(|s| product.is_accepting(s)));
+        assert!(frontier.iter().any(|s| product.is_accepting_view(s.view())));
     }
 
     #[test]
@@ -439,7 +434,7 @@ mod tests {
         for s0 in &initial {
             for s1 in product.successors(s0, &mut interner) {
                 for s2 in product.successors(&s1.state, &mut interner) {
-                    if s2.service == finish && product.is_accepting(&s2.state) {
+                    if s2.service == finish && product.is_accepting_view(s2.state.view()) {
                         accepting_seen = true;
                     }
                 }

@@ -52,7 +52,6 @@ impl ConstraintGraph {
     /// result can be shared across properties of the same task and extended
     /// per property with [`ConstraintGraph::with_property`].
     pub fn build_spec_side(spec: &HasSpec, task: TaskId, universe: &ExprUniverse) -> Self {
-        crate::counters::SPEC_GRAPH_BUILDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut graph = ConstraintGraph::default();
         let mut conditions: Vec<Condition> = Vec::new();
         let task_def = spec.task(task);

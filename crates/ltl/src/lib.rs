@@ -19,5 +19,5 @@ pub mod templates;
 
 pub use buchi::{BuchiAutomaton, BuchiLabel, PropertyAutomaton};
 pub use formula::{letter_has, letter_of, Letter, Ltl, PropId};
-pub use ltlfo::{LtlFoProperty, PropAtom, PropertyHandle};
+pub use ltlfo::{LtlFoProperty, PropAtom};
 pub use templates::{all_templates, LtlTemplate, PropertyClass};

@@ -32,24 +32,6 @@ pub enum PropAtom {
     Service(ServiceRef),
 }
 
-/// A cheap identity handle for a property: its name and the task it
-/// constrains.  Returned by [`LtlFoProperty::handle`] and by
-/// `verifas::Engine::warm`, so services can track admitted/warmed
-/// properties without carrying formulas around.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PropertyHandle {
-    /// The property's name.
-    pub name: String,
-    /// The task whose local runs the property constrains.
-    pub task: TaskId,
-}
-
-impl std::fmt::Display for PropertyHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}@task{}", self.name, self.task.index())
-    }
-}
-
 /// An LTL-FO property of a task.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LtlFoProperty {
@@ -88,15 +70,6 @@ impl LtlFoProperty {
     /// finite-trace embedding (one past the interpreted propositions).
     pub fn alive_prop(&self) -> PropId {
         self.props.len() as PropId
-    }
-
-    /// A cheap identity handle for this property (name + verified task);
-    /// see [`PropertyHandle`].
-    pub fn handle(&self) -> PropertyHandle {
-        PropertyHandle {
-            name: self.name.clone(),
-            task: self.task,
-        }
     }
 
     /// Every constant appearing in the FO conditions interpreting the

@@ -197,6 +197,7 @@ impl Gateway {
                     completed: 0,
                     cancelled: properties.len(),
                     errors: 0,
+                    reused: 0,
                     aborted: true,
                 };
                 emit(&done_frame(id, &summary));
@@ -277,6 +278,7 @@ impl Gateway {
             batch = batch.deadline(at.saturating_duration_since(Instant::now()));
         }
         let (_results, summary) = batch.run_with_summary(&properties);
+        self.metrics.reports_reused(summary.reused);
 
         emit(&done_frame(id, &summary));
         guard.outcome.set(Some(outcome_of(&summary)));
@@ -411,14 +413,6 @@ impl Gateway {
             &[],
             stats.reports_carried,
         );
-        // Process-wide, from the core's counter registry.
-        type_line(&mut out, "verifas_delta_reports_reused_total", "counter");
-        write_metric(
-            &mut out,
-            "verifas_delta_reports_reused_total",
-            &[],
-            verifas_core::counters::reports_reused() as u64,
-        );
         out
     }
 
@@ -506,7 +500,7 @@ fn spec_hash_hex_of(hash: u64) -> String {
 mod tests {
     use super::*;
     use std::sync::Mutex;
-    use verifas_core::{Engine, Json};
+    use verifas_core::{Engine, Json, VerifierOptions};
 
     const SPEC: &str = r#"
 spec "tiny";
@@ -674,6 +668,62 @@ property "reaches-done" on Root {
         let first = Json::parse(&frames[0]).unwrap();
         assert_eq!(first.get("session").and_then(Json::as_str), Some("miss"));
         assert_eq!(first.get("reuse").and_then(Json::as_str), Some("cold"));
+    }
+
+    /// `verifas_delta_reports_reused_total` counts this server's
+    /// report-cache answers: a resubmission moves it by exactly the
+    /// reports its session answered, and an engine outside the gateway
+    /// answering from its own cache leaves it unchanged.
+    #[test]
+    fn the_reused_series_counts_only_this_servers_cache_answers() {
+        let gateway = Gateway::new(ServeConfig::default());
+        let reused = |gateway: &Gateway| {
+            series(
+                &gateway.metrics_text(),
+                "verifas_delta_reports_reused_total",
+            )
+        };
+        let (frames, first) = collected(&gateway, &request(SPEC));
+        assert_eq!((first.reused, reused(&gateway)), (0, Some(0)));
+        // The session caches every definite, uncancelled report.
+        let decided = frames
+            .iter()
+            .filter_map(|line| Json::parse(line).unwrap().get("report").cloned())
+            .filter(|report| {
+                report.get("outcome").and_then(Json::as_str) != Some("inconclusive")
+                    && report.get("cancelled") == Some(&Json::Bool(false))
+            })
+            .count();
+        assert_eq!(decided, 2);
+
+        let compiled = compile(SPEC).unwrap();
+        let (engine, reuse) = gateway
+            .sessions()
+            .get_or_upgrade(
+                spec_hash(&compiled.spec),
+                compiled.spec.clone(),
+                ReuseMode::Preproc,
+            )
+            .unwrap();
+        assert!(reuse.is_hit());
+        let before = engine.cache_stats().reports_reused;
+        let (_, again) = collected(&gateway, &request(SPEC));
+        let answered = engine.cache_stats().reports_reused - before;
+        assert_eq!((again.reused, answered), (decided, decided));
+        assert_eq!(reused(&gateway), Some(decided as u64));
+
+        // A direct engine answering from its own cache is not this
+        // server's work.
+        let direct = Engine::load_with_reuse(
+            compiled.spec,
+            VerifierOptions::default(),
+            ReuseMode::Preproc,
+        )
+        .unwrap();
+        direct.check_all(&compiled.properties);
+        direct.check_all(&compiled.properties);
+        assert_eq!(direct.cache_stats().reports_reused, decided);
+        assert_eq!(reused(&gateway), Some(decided as u64));
     }
 
     #[test]

@@ -67,6 +67,7 @@ pub struct Metrics {
     resource_exhausted: AtomicU64,
     faults_injected: AtomicU64,
     worker_panics: AtomicU64,
+    reports_reused: AtomicU64,
     phases_started: [AtomicU64; 2],
     phases_finished: [AtomicU64; 2],
     progress_events: AtomicU64,
@@ -128,6 +129,13 @@ impl Metrics {
     /// One per-property report left the server (streamed or collected).
     pub fn report_streamed(&self) {
         bump(&self.reports);
+    }
+
+    /// `count` of a request's reports came from its session's report
+    /// cache, with no search (`BatchSummary::reused`).
+    pub fn reports_reused(&self, count: usize) {
+        self.reports_reused
+            .fetch_add(count as u64, Ordering::Relaxed);
     }
 
     /// Fold one engine progress event into the counters.  This is the
@@ -248,6 +256,13 @@ impl Metrics {
             "verifas_search_progress_events_total",
             &[("kind", "cycle")],
             load(&self.cycle_progress_events),
+        );
+        type_line(out, "verifas_delta_reports_reused_total", "counter");
+        write_metric(
+            out,
+            "verifas_delta_reports_reused_total",
+            &[],
+            load(&self.reports_reused),
         );
     }
 }

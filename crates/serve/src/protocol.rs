@@ -355,6 +355,7 @@ mod tests {
             completed: 1,
             cancelled: 1,
             errors: 0,
+            reused: 1,
             aborted: true,
         };
         let frames = [
@@ -380,6 +381,8 @@ mod tests {
             summary_json.get("cancelled").and_then(Json::as_u64),
             Some(1)
         );
+        // The reuse count goes to `/metrics`, not onto the wire.
+        assert_eq!(summary_json.get("reused"), None);
     }
 
     #[test]

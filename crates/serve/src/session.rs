@@ -117,16 +117,6 @@ impl SessionCache {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The configured resident-byte budget (0 = none).
-    pub fn max_bytes(&self) -> usize {
-        self.max_bytes
-    }
-
     /// The estimated resident bytes of every cached session, summed.
     pub fn resident_bytes(&self) -> usize {
         lock_ignoring_poison(&self.inner)

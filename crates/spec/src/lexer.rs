@@ -319,32 +319,6 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// `true` when the source contains `//` comments (outside string
-/// literals).  Formatting preserves comments (see [`collect_comments`]
-/// and `format_source`); this predicate remains for callers that care
-/// whether a file has any — e.g. to pick a comment-free fast path.
-pub fn has_comments(source: &str) -> bool {
-    let mut chars = source.chars().peekable();
-    let mut in_string = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => in_string = !in_string,
-            // Escapes only exist inside strings; a lone trailing
-            // backslash just ends the scan.
-            '\\' if in_string => {
-                chars.next();
-            }
-            // A string never spans lines (the lexer rejects it); treat
-            // the newline as closing so a malformed file cannot hide a
-            // comment from this scan.
-            '\n' if in_string => in_string = false,
-            '/' if !in_string && chars.peek() == Some(&'/') => return true,
-            _ => {}
-        }
-    }
-    false
-}
-
 /// A `//` comment, collected for the comment-preserving formatter
 /// (`verifas fmt` re-anchors these against the canonical layout).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -360,9 +334,9 @@ pub struct Comment {
 
 /// Every `//` comment in `source` (outside string literals), in order.
 ///
-/// Uses the same string-awareness rules as [`has_comments`]: escapes
-/// only exist inside strings, and a string never spans lines, so the
-/// in-string state resets at each newline.
+/// Follows the lexer's string rules: escapes only exist inside strings,
+/// and a string never spans lines (the lexer rejects one that reaches a
+/// newline), so the in-string state resets at each newline.
 pub fn collect_comments(source: &str) -> Vec<Comment> {
     let mut out = Vec::new();
     for (index, text) in source.lines().enumerate() {
@@ -460,6 +434,7 @@ mod tests {
 
     #[test]
     fn comment_detection_is_string_aware() {
+        let has_comments = |source: &str| !collect_comments(source).is_empty();
         assert!(has_comments("a // trailing"));
         assert!(has_comments("// leading\nspec \"x\";"));
         assert!(!has_comments("spec \"not // a comment\";"));

@@ -85,7 +85,7 @@ pub mod resolve;
 
 pub use ast::SpecFile;
 pub use error::SpecError;
-pub use lexer::{collect_comments, has_comments, Comment};
+pub use lexer::{collect_comments, Comment};
 pub use parser::parse;
 pub use printer::{format_spec, format_spec_with_comments};
 pub use resolve::{resolve, CompiledSpec};
@@ -101,11 +101,7 @@ pub fn compile(source: &str) -> Result<CompiledSpec, SpecError> {
 /// before the declaration that followed them).
 pub fn format_source(source: &str) -> Result<String, SpecError> {
     let file = parse(source)?;
-    if has_comments(source) {
-        Ok(format_spec_with_comments(&file, &collect_comments(source)))
-    } else {
-        Ok(format_spec(&file))
-    }
+    Ok(format_spec_with_comments(&file, &collect_comments(source)))
 }
 
 #[cfg(test)]

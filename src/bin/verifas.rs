@@ -5,7 +5,7 @@
 //! verifas check    <spec.has> [--prop NAME] [--threads N] [--json OUT]
 //!                             [--base PRIOR.json]
 //!                             [--max-states N] [--max-millis MS]
-//! verifas batch    <spec.has> [--all-props] [--threads N] [--json OUT]
+//! verifas batch    <spec.has> [--threads N] [--json OUT]
 //!                             [--max-states N] [--max-millis MS]
 //! verifas validate <spec.has>
 //! verifas hash     <spec.has>
@@ -92,7 +92,6 @@ options:
                      whose task slice / property / options are unchanged
   --incremental MODE serve: how much an edited spec reuses from a
                      cached session, `cold` or `preproc` (default)
-  --all-props        verify every property (batch; this is the default)
   --threads N        worker threads (check: per search; batch: core budget; 0 = auto)
   --json OUT         write the reports as a JSON document to OUT
   --max-states N     per-phase state limit (default 100000)
@@ -160,13 +159,7 @@ fn allowed_flags(command: &str) -> &'static [&'static str] {
             "--max-states",
             "--max-millis",
         ],
-        "batch" => &[
-            "--all-props",
-            "--threads",
-            "--json",
-            "--max-states",
-            "--max-millis",
-        ],
+        "batch" => &["--threads", "--json", "--max-states", "--max-millis"],
         "fmt" => &["--write", "--check"],
         "serve" => &[
             "--addr",
@@ -257,7 +250,6 @@ fn parse_options(args: &[String], needs_file: bool) -> Result<Options, String> {
                         .map_err(|_| "error: --max-millis needs a number".to_string())?,
                 )
             }
-            "--all-props" => {}
             "--write" => options.write = true,
             "--check" => options.check = true,
             "--addr" => options.addr = value_of("--addr", &mut iter)?,

@@ -102,7 +102,7 @@ pub mod prelude {
         VerificationBuilder, VerificationOutcome, VerificationReport, VerifierOptions, Witness,
         WitnessStep, WorkerStats,
     };
-    pub use verifas_ltl::{Ltl, LtlFoProperty, PropAtom, PropertyHandle};
+    pub use verifas_ltl::{Ltl, LtlFoProperty, PropAtom};
     pub use verifas_model::{
         Condition, DatabaseSchema, HasSpec, ServiceRef, SpecBuilder, TaskBuilder, TaskId, Term,
         VarId,

@@ -1,7 +1,9 @@
 //! Behavioural tests of the session-oriented `Engine` API: report JSON
-//! round-trips, observer event ordering, cancellation and deadlines.
+//! round-trips, observer event ordering, cancellation, deadlines, and
+//! `check_all` building one preprocessing for a whole batch.
 
 use std::sync::{Arc, Mutex};
+use verifas::core::Json;
 use verifas::prelude::*;
 use verifas::workloads::{generate_properties, loan_approval, order_fulfillment};
 
@@ -200,6 +202,67 @@ fn expired_deadlines_stop_immediately() {
         .unwrap();
     assert_eq!(report.outcome, VerificationOutcome::Inconclusive);
     assert!(report.cancelled);
+}
+
+/// Batched multi-property verification over one workload spec must (a)
+/// produce byte-identical verdicts to one-by-one `check` calls and (b)
+/// construct the expression universe and the spec-side static-analysis
+/// constraint graph exactly once, counted by the engine itself.
+#[test]
+fn check_all_shares_preprocessing_and_matches_sequential_checks() {
+    let spec = order_fulfillment();
+    // All twelve benchmark properties verify the root task with no global
+    // variables and draw their constants from the spec's own conditions,
+    // so one preprocessing must serve the whole batch.
+    let properties: Vec<LtlFoProperty> = generate_properties(&spec, 2017)
+        .into_iter()
+        .take(4)
+        .collect();
+    assert!(properties.len() >= 3);
+
+    let engine = engine_for(spec.clone());
+    let batched = engine.check_all(&properties);
+    assert_eq!(
+        engine.cache_stats().preprocessing_builds,
+        1,
+        "check_all must build the expression universe exactly once"
+    );
+    assert_eq!(
+        engine.cache_stats().spec_graph_builds,
+        1,
+        "check_all must build the spec-side constraint graph exactly once"
+    );
+
+    // Sequential one-by-one checks on a fresh engine.
+    let sequential_engine = engine_for(spec);
+    for (property, batched) in properties.iter().zip(&batched) {
+        let batched = batched.as_ref().unwrap();
+        let sequential = sequential_engine.check(property).unwrap();
+        // Byte-identical verdicts: outcome and witness serialize to the
+        // same JSON (stats carry wall-clock times and are compared
+        // structurally instead).
+        let verdict_json = |report: &VerificationReport| {
+            let doc = Json::parse(&report.to_json()).unwrap();
+            Json::Obj(vec![
+                ("outcome".to_owned(), doc.get("outcome").unwrap().clone()),
+                ("witness".to_owned(), doc.get("witness").unwrap().clone()),
+            ])
+            .to_string()
+        };
+        assert_eq!(
+            verdict_json(batched),
+            verdict_json(&sequential),
+            "batched and sequential verdicts differ on {}",
+            property.name
+        );
+        assert_eq!(batched.outcome, sequential.outcome);
+        assert_eq!(batched.witness, sequential.witness);
+        assert_eq!(
+            batched.stats.states_created, sequential.stats.states_created,
+            "the searches themselves must be identical for {}",
+            property.name
+        );
+    }
 }
 
 /// A benchmark property of the order-fulfillment workflow whose search

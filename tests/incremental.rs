@@ -4,16 +4,11 @@
 //! at every step — once cold, once incrementally from the previous
 //! step's engine via `Engine::load_delta` — and the reports must be
 //! bit-identical modulo wall-clock fields.  A targeted two-task scenario
-//! then proves through `verifas::core::counters` that the preprocessing
-//! of an unchanged task is carried, not rebuilt.
-//!
-//! This file deliberately contains a single `#[test]`: the construction
-//! and reuse counters are process-wide, and integration-test binaries
-//! each run in their own process, so nothing else can increment them
-//! concurrently.
+//! then proves through the warm engine's own build counts
+//! (`Engine::cache_stats`) that the preprocessing of an unchanged task is
+//! carried, not rebuilt.
 
 use std::path::{Path, PathBuf};
-use verifas::core::counters;
 use verifas::prelude::*;
 use verifas::spec::{self, CompiledSpec};
 
@@ -165,7 +160,8 @@ fn root_name(compiled: &CompiledSpec) -> String {
 
 /// Every corpus property of every edit-script step, checked on a warm
 /// chain of `load_delta` engines, must match a cold engine bit for bit.
-fn assert_edit_scripts_are_bit_identical() {
+#[test]
+fn edit_scripts_verify_bit_identically() {
     for (name, source) in corpus() {
         let root = root_name(&compile(&name, &source));
         let steps = edit_script(&source, &root);
@@ -230,16 +226,20 @@ fn property<'a>(compiled: &'a CompiledSpec, name: &str) -> &'a LtlFoProperty {
 }
 
 /// After a root-local edit, the unchanged child task's preprocessing is
-/// carried — provably not rebuilt (`universe_builds` stays flat while a
-/// fresh child search runs) — while the edited root's is rebuilt.
-fn assert_unchanged_preprocessing_is_not_rebuilt() {
+/// carried — provably not rebuilt (the warm engine's build count stays
+/// flat while a fresh child search runs) — while the edited root's is
+/// rebuilt.
+#[test]
+fn unchanged_preprocessing_is_carried_not_rebuilt() {
     let (base, edited) = referee_scenario();
     let prior = Engine::load_with_reuse(base.spec.clone(), options(), ReuseMode::Preproc).unwrap();
     let first = prior.check(property(&base, "referee-probe")).unwrap();
 
-    let builds_before = counters::universe_builds();
     let (warm, summary) =
         Engine::load_delta(&prior, edited.spec.clone(), ReuseMode::Preproc).unwrap();
+    let builds = || warm.cache_stats().preprocessing_builds;
+    let builds_before = builds();
+    assert_eq!(builds_before, 0, "load_delta carries, it builds nothing");
     assert_eq!(summary.tasks, 2);
     assert_eq!(
         summary.tasks_unchanged, 1,
@@ -253,7 +253,7 @@ fn assert_unchanged_preprocessing_is_not_rebuilt() {
     // universe is built.
     let fresh = warm.check(property(&edited, "referee-probe-2")).unwrap();
     assert_eq!(
-        counters::universe_builds(),
+        builds(),
         builds_before,
         "the carried preprocessing must serve the unchanged task's search"
     );
@@ -265,22 +265,16 @@ fn assert_unchanged_preprocessing_is_not_rebuilt() {
 
     // The identical request is answered from the carried report — the
     // exact same report, wall-clock fields included, zero search.
-    let reused_before = counters::reports_reused();
+    let reused_before = warm.cache_stats().reports_reused;
     let carried = warm.check(property(&edited, "referee-probe")).unwrap();
     assert_eq!(carried, first);
-    assert_eq!(counters::reports_reused(), reused_before + 1);
+    assert_eq!(warm.cache_stats().reports_reused, reused_before + 1);
 
     // The edited root, by contrast, is rebuilt from scratch.
     let root_property = property(&edited, "submissions-recur");
     warm.check(root_property).unwrap();
     assert!(
-        counters::universe_builds() > builds_before,
+        builds() > builds_before,
         "the changed root task must rebuild its preprocessing"
     );
-}
-
-#[test]
-fn edit_scripts_verify_bit_identically_and_reuse_preprocessing() {
-    assert_edit_scripts_are_bit_identical();
-    assert_unchanged_preprocessing_is_not_rebuilt();
 }

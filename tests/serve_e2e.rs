@@ -8,10 +8,10 @@
 //! same properties — including when an interactive request lands
 //! mid-batch and steals cores from the running searches.  These tests
 //! pin exactly that, plus session reuse (a re-submitted spec lands on
-//! the cached session; `serve_session_reuse.rs` checks, in a process of
-//! its own, that it builds no new preprocessing), admission queueing
-//! with typed overflow refusals, server-side cancellation, shutdown and
-//! client-disconnect resource reclamation, and the HTTP front end.
+//! the cached session and builds no new preprocessing), admission
+//! queueing with typed overflow refusals, server-side cancellation,
+//! shutdown and client-disconnect resource reclamation, and the HTTP
+//! front end.
 
 use std::path::Path;
 use std::sync::mpsc;
@@ -155,6 +155,63 @@ fn resubmitted_spec_reuses_cached_session_and_matches_direct_check_all() {
     }
     let stats = gateway.sessions().stats();
     assert_eq!((stats.hits, stats.misses), (1, 1));
+}
+
+/// A served resubmission builds no new preprocessing: re-submitting a
+/// spec (reformatted, so the text differs) lands on the cached session,
+/// and that session's engine builds no expression universe and no
+/// constraint graph while its batch runs.
+#[test]
+fn a_resubmitted_spec_builds_no_new_preprocessing() {
+    let source = example("conference_review.has");
+    let gateway = Gateway::new(ServeConfig {
+        cores: 2,
+        sessions: 4,
+        ..ServeConfig::default()
+    });
+    // The `session` member of the `admitted` frame and the number of
+    // `report` frames.
+    let submit = |spec: &str| {
+        let frames = collect(&gateway, &request(spec, PriorityClass::Interactive));
+        let session = frames[0].get("session").and_then(Json::as_str).unwrap();
+        let reports = frames
+            .iter()
+            .filter(|frame| frame_kind(frame) == "report")
+            .count();
+        (session.to_owned(), reports)
+    };
+    let (session, reports) = submit(&source);
+    assert_eq!(session, "miss");
+    assert!(reports > 0);
+
+    // The session's engine, from a session-cache hit.
+    let spec = verifas::spec::compile(&source).unwrap().spec;
+    let hash = verifas::core::spec_hash(&spec);
+    let (engine, reuse) = gateway
+        .sessions()
+        .get_or_upgrade(hash, spec, ReuseMode::Preproc)
+        .unwrap();
+    assert!(reuse.is_hit());
+    let builds = || {
+        let stats = engine.cache_stats();
+        (stats.preprocessing_builds, stats.spec_graph_builds)
+    };
+    let before = builds();
+    assert!(
+        before.0 > 0,
+        "the first request built the session's preprocessing"
+    );
+    let reformatted = format!("// resubmission with different formatting\n{source}\n\n");
+    assert_eq!(
+        submit(&reformatted),
+        ("hit".to_owned(), reports),
+        "format-equivalent spec must share the session"
+    );
+    assert_eq!(
+        builds(),
+        before,
+        "a cached session must serve the batch with zero new preprocessing"
+    );
 }
 
 /// A long batch request is running; an interactive request arrives,

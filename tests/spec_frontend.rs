@@ -334,6 +334,9 @@ fn check_rejects_an_unknown_incremental_mode() {
         stderr.contains("unknown option --batch-threads"),
         "{stderr}"
     );
+    // `batch` always verifies every property; the no-op flag is gone.
+    let stderr = usage_error(&["batch", spec, "--all-props"]);
+    assert!(stderr.contains("unknown option --all-props"), "{stderr}");
     // A known flag of another command is rejected per command.
     let stderr = usage_error(&["check", spec, "--write"]);
     assert!(
